@@ -2,9 +2,57 @@
 
 #include <algorithm>
 #include <cassert>
+#include <random>
 #include <unordered_set>
 
 namespace approxhadoop {
+
+namespace {
+
+constexpr size_t kN = LazyMt19937_64::kStateWords;
+constexpr size_t kM = 156;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kLowerMask = ~kUpperMask;
+
+/** Twists word @p k in place, as std::mt19937_64's generation step does:
+ *  it reads words k, k+1 and k+m (mod n), whichever state they are in. */
+inline void
+twistWord(uint64_t* x, size_t k)
+{
+    uint64_t y = (x[k] & kUpperMask) | (x[(k + 1) % kN] & kLowerMask);
+    x[k] = x[(k + kM) % kN] ^ (y >> 1) ^
+           ((y & 1) ? 0xb5026f5aa96619e9ULL : 0);
+}
+
+}  // namespace
+
+LazyMt19937_64::result_type
+LazyMt19937_64::refill()
+{
+    if (pos_ == kN) {
+        // Steady state: regenerate every word, as std::mt19937_64 does.
+        for (size_t k = 0; k < kN; ++k) {
+            twistWord(x_, k);
+        }
+        ready_ = kN;
+        pos_ = 0;
+    } else {
+        // First generation: word k = pos_ reads seed words k+1 and (for
+        // k < n-m) k+m, so run the seeding recurrence that far (capped at
+        // n), then twist just that word.
+        size_t need = std::min(pos_ + kM + 1, kN);
+        size_t i = seeded_;
+        uint64_t prev = x_[i - 1];
+        for (; i < need; ++i) {
+            prev = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+            x_[i] = prev;
+        }
+        seeded_ = i;
+        twistWord(x_, pos_);
+        ready_ = pos_ + 1;
+    }
+    return temper(x_[pos_++]);
+}
 
 uint64_t
 splitmix64(uint64_t x)

@@ -428,7 +428,7 @@ FaultPlan::helpText()
            "  seed=S             fault-stream seed (non-negative "
            "integer)\n"
            "e.g. \"crash=0.05,straggler=0.02:6,server=3@120+60,seed=7\" "
-           "or \"revoke=3@60,addsrv=4atom@90\"";
+           "or \"revoke=3@60,addsrv=4atom@90\"\n";
 }
 
 std::string

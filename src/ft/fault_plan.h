@@ -189,8 +189,8 @@ struct FaultPlan
     /** Every clause key parse() accepts, in grammar order. */
     static const std::vector<std::string>& specKeys();
 
-    /** Multi-line `--fault-plan` grammar for CLI usage/help output.
-     *  Mentions every key in specKeys(). */
+    /** Multi-line, newline-terminated `--fault-plan` grammar for CLI
+     *  usage/help output. Mentions every key in specKeys(). */
     static std::string helpText();
 
     /** Human-readable one-line description (empty plan: "none").

@@ -1,8 +1,10 @@
 #ifndef APPROXHADOOP_INTEGRITY_BLOB_H_
 #define APPROXHADOOP_INTEGRITY_BLOB_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 namespace approxhadoop::integrity {
 
@@ -19,6 +21,13 @@ namespace approxhadoop::integrity {
 class BlobWriter
 {
   public:
+    BlobWriter() = default;
+    /** Continues appending after the existing bytes of @p buf. */
+    explicit BlobWriter(std::string buf) : buf_(std::move(buf)) {}
+
+    /** Reserves room for @p bytes bytes in total. */
+    void reserve(size_t bytes) { buf_.reserve(bytes); }
+
     void putU64(uint64_t v);
     /** Bit-exact double encoding. */
     void putDouble(double v);

@@ -18,8 +18,12 @@ constexpr char kMagic[8] = {'A', 'X', 'H', 'J', 'N', 'L', '1', '\n'};
  *  stamp seed so a chunk blob can never masquerade as a frame). */
 constexpr uint64_t kFrameSeed = 0x4A4E4C31u;
 
-/** RunSpec blob version (first field of the header payload). */
-constexpr uint64_t kSpecVersion = 1;
+/** RunSpec blob version (first field of the header payload). Version 2
+ *  changed the epoch's driver-RNG digest from a hash of the engine's
+ *  text form to XXH64 over its raw state words and position, so a
+ *  version-1 journal is rejected up front rather than failing resume
+ *  verification on its first epoch. */
+constexpr uint64_t kSpecVersion = 2;
 
 void
 putRawU64(std::string& out, uint64_t v)
@@ -41,21 +45,18 @@ readRawU64(const std::string& bytes, size_t pos)
     return v;
 }
 
-uint64_t
-stampOf(const std::string& payload)
+void
+writeRawU64(char* out, uint64_t v)
 {
-    return integrity::hash64(payload.data(), payload.size(), kFrameSeed);
+    for (int i = 0; i < 8; ++i) {
+        out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
 }
 
-std::string
-frame(const std::string& payload)
+uint64_t
+stampOf(const char* payload, size_t len)
 {
-    std::string out;
-    out.reserve(payload.size() + 16);
-    putRawU64(out, payload.size());
-    out += payload;
-    putRawU64(out, stampOf(payload));
-    return out;
+    return integrity::hash64(payload, len, kFrameSeed);
 }
 
 std::string
@@ -146,10 +147,29 @@ RunSpec::deserialize(const std::string& blob)
     }
 }
 
-std::string
-encodeEpoch(const Epoch& epoch)
+namespace {
+
+/** Exact payload size of encodeEpoch(epoch). */
+size_t
+encodedSize(const Epoch& epoch)
 {
-    integrity::BlobWriter w;
+    // 14 fixed u64 fields: index, kind, wave, sim_time, maps_completed,
+    // maps_terminal, rng_digest, the two pending ratios, and the length
+    // or count prefixes of the five variable-size fields.
+    size_t n = 14 * 8;
+    n += epoch.counters_blob.size();
+    n += epoch.delivered.size() * 16;
+    n += epoch.controller_blob.size();
+    for (const std::string& s : epoch.reducer_state) {
+        n += 8 + s.size();
+    }
+    n += epoch.reducer_records.size() * 8;
+    return n;
+}
+
+void
+encodeEpochInto(const Epoch& epoch, integrity::BlobWriter& w)
+{
     w.putU64(epoch.index);
     w.putU64(epoch.kind);
     w.putU64(static_cast<uint64_t>(static_cast<int64_t>(epoch.wave)));
@@ -174,6 +194,16 @@ encodeEpoch(const Epoch& epoch)
     for (uint64_t r : epoch.reducer_records) {
         w.putU64(r);
     }
+}
+
+}  // namespace
+
+std::string
+encodeEpoch(const Epoch& epoch)
+{
+    integrity::BlobWriter w;
+    w.reserve(encodedSize(epoch));
+    encodeEpochInto(epoch, w);
     return w.release();
 }
 
@@ -246,7 +276,7 @@ parseJournal(const std::string& bytes)
         }
         std::string payload = bytes.substr(pos + 8, len);
         uint64_t stamp = readRawU64(bytes, pos + 8 + len);
-        if (stamp != stampOf(payload)) {
+        if (stamp != stampOf(payload.data(), payload.size())) {
             throw JournalError(
                 "journal: frame checksum mismatch at byte offset " +
                 std::to_string(pos) + " (corrupt journal)");
@@ -435,7 +465,7 @@ JobJournal::adoptLoaded(LoadedJournal loaded, std::string bytes,
             throw JournalError("journal: write error during resume");
         }
     }
-    appendFrame(encodeEpoch(resumeMarker(loaded_, resume_count_)));
+    appendEpochFrame(resumeMarker(loaded_, resume_count_));
 }
 
 std::unique_ptr<JobJournal>
@@ -495,7 +525,7 @@ JobJournal::onEpoch(const Epoch& epoch)
         ++cursor_;
         return;
     }
-    appendFrame(encodeEpoch(epoch));
+    appendEpochFrame(epoch);
 }
 
 void
@@ -510,19 +540,43 @@ JobJournal::openFileTruncated(const std::string& path)
 void
 JobJournal::appendFrame(const std::string& payload)
 {
-    std::string framed = frame(payload);
+    size_t start = image_.size();
+    image_.append(8, '\0');
+    image_ += payload;
+    sealFrame(start);
+}
+
+void
+JobJournal::appendEpochFrame(const Epoch& epoch)
+{
+    // Encode straight into the image: no payload or framed temporaries.
+    size_t start = image_.size();
+    integrity::BlobWriter w(std::move(image_));
+    w.reserve(start + 16 + encodedSize(epoch));
+    w.putU64(0);  // payload length, patched by sealFrame()
+    encodeEpochInto(epoch, w);
+    image_ = w.release();
+    sealFrame(start);
+}
+
+void
+JobJournal::sealFrame(size_t start)
+{
+    size_t len = image_.size() - start - 8;
+    writeRawU64(&image_[start], len);
+    putRawU64(image_, stampOf(image_.data() + start + 8, len));
     if (file_ != nullptr) {
         // Flush frame-at-a-time: a SIGKILL leaves at worst one torn
         // frame at the tail, which parseJournal() discards. (Page-cache
         // durability is enough — we recover from process death, not
         // power loss.)
-        if (std::fwrite(framed.data(), 1, framed.size(), file_) !=
-                framed.size() ||
+        size_t size = image_.size() - start;
+        if (std::fwrite(image_.data() + start, 1, size, file_) != size ||
             std::fflush(file_) != 0) {
+            image_.resize(start);
             throw JournalError("journal: write error");
         }
     }
-    image_ += framed;
 }
 
 }  // namespace approxhadoop::journal

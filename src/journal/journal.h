@@ -178,7 +178,13 @@ class JobJournal : public EpochSink
 
     void adoptLoaded(LoadedJournal loaded, std::string bytes,
                      const std::string* path);
+    /** Frames @p payload onto the image (and the file, if any). */
     void appendFrame(const std::string& payload);
+    /** Encodes @p epoch directly into the image as one frame. */
+    void appendEpochFrame(const Epoch& epoch);
+    /** Completes the frame whose length slot starts at @p start:
+     *  patches the length, appends the stamp, writes it out. */
+    void sealFrame(size_t start);
     void openFileTruncated(const std::string& path);
 
     RunSpec spec_;

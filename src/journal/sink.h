@@ -57,7 +57,7 @@ struct Epoch
     /** (task_id, chunk-checksum digest) for map outputs delivered to
      *  reducers since the previous epoch. */
     std::vector<std::pair<uint64_t, uint64_t>> delivered;
-    /** Digest of the driver's shared RNG engine state. */
+    /** XXH64 over the driver Rng's raw state words and draw position. */
     uint64_t rng_digest = 0;
     /** Controller-pending plan state for not-yet-started maps. */
     double pending_sampling_ratio = 1.0;

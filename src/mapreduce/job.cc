@@ -5,7 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <sstream>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -2011,14 +2011,15 @@ Job::captureEpoch(uint32_t kind, int wave)
     e.delivered = std::move(epoch_delivered_);
     epoch_delivered_.clear();
     {
-        // mt19937_64 defines operator<< over its full 19968-bit state;
-        // printing never advances the engine, so the digest is a pure
-        // observation. Any divergence in the driver's draw sequence
+        // XXH64 over the driver Rng's raw state words and draw position.
+        // Reading them never advances the engine, so the digest is a
+        // pure observation. Any divergence in the driver's draw sequence
         // between the crashed and the resumed run surfaces here.
-        std::ostringstream os;
-        os << rng_.engine();
-        const std::string state = os.str();
-        e.rng_digest = integrity::hash64(state.data(), state.size());
+        std::span<const uint64_t> words = rng_.stateWords();
+        integrity::Hasher64 h;
+        h.update(words.data(), words.size_bytes());
+        h.update(static_cast<uint64_t>(rng_.statePosition()));
+        e.rng_digest = h.digest();
     }
     e.pending_sampling_ratio = pending_sampling_ratio_;
     e.pending_approx_fraction = pending_approx_fraction_;

@@ -217,4 +217,30 @@ TEST(ApproxrunCliTest, FaultPlanHelpMentionsEveryKey)
     }
 }
 
+TEST(ApproxrunCliTest, HelpPrintsUsageAndExitsZero)
+{
+    for (const char* flag : {"--help", "-h"}) {
+        RunResult r = runApproxrun(flag);
+        EXPECT_EQ(r.exit_code, 0) << flag << "\n" << r.output;
+        EXPECT_NE(r.output.find("usage: approxrun <app> [options]"),
+                  std::string::npos)
+            << flag;
+        EXPECT_EQ(r.output.find("unknown app"), std::string::npos) << flag;
+    }
+}
+
+TEST(ApproxrunCliTest, FaultPlanGrammarEndsItsOwnLine)
+{
+    // The grammar's closing example must not run onto the next option
+    // in the usage text, nor trail without a newline after a parse error.
+    RunResult help = runApproxrun("--help");
+    EXPECT_NE(help.output.find("addsrv=4atom@90\"\n  --failure-mode"),
+              std::string::npos)
+        << help.output;
+    RunResult bad = runApproxrun("projectpop --fault-plan bogus=1");
+    EXPECT_EQ(bad.exit_code, 2);
+    EXPECT_NE(bad.output.find("addsrv=4atom@90\"\n"), std::string::npos)
+        << bad.output;
+}
+
 }  // namespace

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "integrity/checksum.h"
+
 namespace approxhadoop::journal {
 namespace {
 
@@ -154,6 +156,51 @@ TEST(JournalFormatTest, RecordedImageParsesBack)
     EXPECT_EQ(loaded.sealed_bytes, image.size());
     for (uint64_t i = 0; i < 3; ++i) {
         expectEpochEq(loaded.epochs[i], makeEpoch(i));
+    }
+}
+
+/** The on-disk frame, built independently of JobJournal:
+ *  [u64 len][payload][u64 xxh64(payload, seed "JNL1")], little-endian. */
+std::string
+frameByHand(const std::string& payload)
+{
+    auto put = [](std::string& out, uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+        }
+    };
+    std::string out;
+    put(out, payload.size());
+    out += payload;
+    put(out, integrity::hash64(payload.data(), payload.size(), 0x4A4E4C31u));
+    return out;
+}
+
+TEST(JournalFormatTest, RecordedImageIsMagicPlusFramedEncodings)
+{
+    // Epochs are encoded straight into the image; the bytes must still be
+    // exactly the framed encodeEpoch() payloads.
+    std::string expected = "AXHJNL1\n" + frameByHand(makeSpec().serialize());
+    for (uint64_t i = 0; i < 3; ++i) {
+        expected += frameByHand(encodeEpoch(makeEpoch(i)));
+    }
+    EXPECT_EQ(recordedImage(), expected);
+}
+
+TEST(JournalFormatTest, OlderHeaderVersionIsRejectedByVersion)
+{
+    // Version 1 hashed the driver RNG's text form; its epochs could never
+    // verify, so the header is refused before any epoch is compared.
+    std::string header = makeSpec().serialize();
+    header[0] = 1;  // little-endian u64 version field
+    std::string image = "AXHJNL1\n" + frameByHand(header);
+    try {
+        parseJournal(image);
+        FAIL() << "version-1 header accepted";
+    } catch (const JournalError& e) {
+        EXPECT_NE(std::string(e.what()).find("unsupported header version 1"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -155,6 +155,7 @@ usage()
         "  --top K               result rows to print (default 10)\n"
         "  --verbose             framework INFO logging\n"
         "\n"
+        "  --help, -h            print this help and exit 0\n"
         "  --list-workloads      print the aggregation-workload\n"
         "                        registry (name, op, default shape)\n"
         "                        and exit 0\n"
@@ -950,6 +951,11 @@ resumeMain(int argc, char** argv)
 int
 main(int argc, char** argv)
 {
+    if (argc >= 2 && (std::string(argv[1]) == "--help" ||
+                      std::string(argv[1]) == "-h")) {
+        usage();
+        return kExitOk;
+    }
     if (argc >= 2 && std::string(argv[1]) == "--list-workloads") {
         return listWorkloads();
     }
