@@ -34,11 +34,15 @@ constexpr uint64_t kItems = 40;
 constexpr uint64_t kSeed = 11;
 constexpr uint32_t kReducers = 2;
 
+/** gtest names each matrix case with a byte dump of its Scenario. The
+ *  integer fields lead so that the dump starts with fixed bytes rather
+ *  than a string-literal address, which moves whenever any other
+ *  literal linked into the binary changes. */
 struct Scenario
 {
-    const char* label;
     uint32_t threads;
     ft::FailureMode mode;
+    const char* label;
     /** Base fault plan, "" for fault-free. */
     const char* faults;
     const char* cluster = "xeon10";
@@ -145,13 +149,13 @@ expectResultsIdentical(const mr::JobResult& resumed,
 /** The scenario axis of the matrix. The task-crash probability is high
  *  enough that retries/absorbs actually occur before the kill times. */
 const Scenario kScenarios[] = {
-    {"plain-1t", 1, ft::FailureMode::kRetry, ""},
-    {"plain-8t", 8, ft::FailureMode::kRetry, ""},
-    {"retry-crashy-1t", 1, ft::FailureMode::kRetry, "crash=0.15,seed=3"},
-    {"absorb-crashy-8t", 8, ft::FailureMode::kAbsorb,
+    {1, ft::FailureMode::kRetry, "plain-1t", ""},
+    {8, ft::FailureMode::kRetry, "plain-8t", ""},
+    {1, ft::FailureMode::kRetry, "retry-crashy-1t", "crash=0.15,seed=3"},
+    {8, ft::FailureMode::kAbsorb, "absorb-crashy-8t",
      "crash=0.15,seed=3"},
-    {"auto-crashy-1t", 1, ft::FailureMode::kAuto, "crash=0.15,seed=3"},
-    {"elastic-8t", 8, ft::FailureMode::kAuto,
+    {1, ft::FailureMode::kAuto, "auto-crashy-1t", "crash=0.15,seed=3"},
+    {8, ft::FailureMode::kAuto, "elastic-8t",
      "revoke=2@4,addsrv=3atom@8,seed=5", "10xeon+4atom"},
 };
 
