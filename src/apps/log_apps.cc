@@ -28,16 +28,6 @@ logProcessingConfig(const std::string& name, uint64_t items_per_block,
 }
 
 void
-ProjectPopularity::Mapper::map(const std::string& record,
-                               mr::MapContext& ctx)
-{
-    workloads::AccessLogEntry entry;
-    if (workloads::parseAccessLogEntry(record, entry)) {
-        ctx.write(entry.project, 1.0);
-    }
-}
-
-void
 ProjectPopularity::Mapper::mapBatch(const std::string_view* records,
                                     size_t count, mr::MapContext& ctx)
 {
@@ -59,15 +49,6 @@ mr::Job::ReducerFactory
 ProjectPopularity::preciseReducerFactory()
 {
     return [] { return std::make_unique<mr::SumReducer>(); };
-}
-
-void
-PagePopularity::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    workloads::AccessLogEntry entry;
-    if (workloads::parseAccessLogEntry(record, entry)) {
-        ctx.write(entry.page, 1.0);
-    }
 }
 
 void
@@ -95,15 +76,6 @@ PagePopularity::preciseReducerFactory()
 }
 
 void
-PageTraffic::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    workloads::AccessLogEntry entry;
-    if (workloads::parseAccessLogEntry(record, entry)) {
-        ctx.write(entry.page, static_cast<double>(entry.bytes));
-    }
-}
-
-void
 PageTraffic::Mapper::mapBatch(const std::string_view* records, size_t count,
                               mr::MapContext& ctx)
 {
@@ -125,19 +97,6 @@ mr::Job::ReducerFactory
 PageTraffic::preciseReducerFactory()
 {
     return [] { return std::make_unique<mr::SumReducer>(); };
-}
-
-void
-LogRequestRate::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    workloads::AccessLogEntry entry;
-    if (!workloads::parseAccessLogEntry(record, entry)) {
-        return;
-    }
-    uint32_t hour = static_cast<uint32_t>((entry.timestamp / 3600) % 168);
-    char key[16];
-    std::snprintf(key, sizeof(key), "h%03u", hour);
-    ctx.write(key, 1.0);
 }
 
 void

@@ -30,10 +30,9 @@ mr::JobConfig logProcessingConfig(const std::string& name,
 class ProjectPopularity
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
@@ -48,10 +47,9 @@ class ProjectPopularity
 class PagePopularity
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
@@ -66,10 +64,9 @@ class PagePopularity
 class PageTraffic
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
@@ -87,10 +84,9 @@ class PageTraffic
 class LogRequestRate
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };

@@ -10,13 +10,6 @@ namespace approxhadoop::apps {
 
 namespace {
 
-/** Parses the record once; returns false for malformed lines. */
-bool
-parse(const std::string& record, workloads::WebLogEntry& entry)
-{
-    return workloads::parseWebLogEntry(record, entry);
-}
-
 mr::Job::ReducerFactory
 sumReducerFactory()
 {
@@ -42,18 +35,6 @@ webServerLogConfig(const std::string& name, uint64_t items_per_block,
     config.reduce_cost.t0 = 1.0;
     config.reduce_cost.t_record = 2e-5;
     return config;
-}
-
-void
-WebRequestRate::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    workloads::WebLogEntry entry;
-    if (!parse(record, entry)) {
-        return;
-    }
-    char key[16];
-    std::snprintf(key, sizeof(key), "h%03u", entry.hour_of_week);
-    ctx.write(key, 1.0);
 }
 
 void
@@ -84,16 +65,6 @@ WebRequestRate::preciseReducerFactory()
 }
 
 void
-AttackFrequencies::Mapper::map(const std::string& record,
-                               mr::MapContext& ctx)
-{
-    workloads::WebLogEntry entry;
-    if (parse(record, entry) && entry.attack) {
-        ctx.write(entry.client, 1.0);
-    }
-}
-
-void
 AttackFrequencies::Mapper::mapBatch(const std::string_view* records,
                                     size_t count, mr::MapContext& ctx)
 {
@@ -115,15 +86,6 @@ mr::Job::ReducerFactory
 AttackFrequencies::preciseReducerFactory()
 {
     return sumReducerFactory();
-}
-
-void
-TotalSize::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    workloads::WebLogEntry entry;
-    if (parse(record, entry)) {
-        ctx.write("total_bytes", static_cast<double>(entry.bytes));
-    }
 }
 
 void
@@ -151,15 +113,6 @@ TotalSize::preciseReducerFactory()
 }
 
 void
-RequestSize::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    workloads::WebLogEntry entry;
-    if (parse(record, entry)) {
-        ctx.write("mean_bytes", static_cast<double>(entry.bytes));
-    }
-}
-
-void
 RequestSize::Mapper::mapBatch(const std::string_view* records, size_t count,
                               mr::MapContext& ctx)
 {
@@ -184,15 +137,6 @@ RequestSize::preciseReducerFactory()
 }
 
 void
-Clients::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    workloads::WebLogEntry entry;
-    if (parse(record, entry)) {
-        ctx.write(entry.client, 1.0);
-    }
-}
-
-void
 Clients::Mapper::mapBatch(const std::string_view* records, size_t count,
                           mr::MapContext& ctx)
 {
@@ -214,15 +158,6 @@ mr::Job::ReducerFactory
 Clients::preciseReducerFactory()
 {
     return sumReducerFactory();
-}
-
-void
-ClientBrowser::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    workloads::WebLogEntry entry;
-    if (parse(record, entry)) {
-        ctx.write(entry.browser, 1.0);
-    }
 }
 
 void

@@ -27,10 +27,9 @@ mr::JobConfig webServerLogConfig(const std::string& name,
 class WebRequestRate
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
@@ -49,10 +48,9 @@ class WebRequestRate
 class AttackFrequencies
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
@@ -67,10 +65,9 @@ class AttackFrequencies
 class TotalSize
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
@@ -85,10 +82,9 @@ class TotalSize
 class RequestSize
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
@@ -103,10 +99,9 @@ class RequestSize
 class Clients
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
@@ -121,10 +116,9 @@ class Clients
 class ClientBrowser
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };

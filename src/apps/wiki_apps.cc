@@ -31,21 +31,6 @@ formatBinKey(uint64_t bin, char (&buf)[24])
 
 }  // namespace
 
-std::string
-WikiLength::binKey(uint64_t size_bytes)
-{
-    uint64_t bin = size_bytes / kBinWidthBytes * kBinWidthBytes;
-    char buf[24];
-    return std::string(formatBinKey(bin, buf));
-}
-
-void
-WikiLength::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    uint64_t size = workloads::wikiArticleSize(record);
-    ctx.write(binKey(size), 1.0);
-}
-
 void
 WikiLength::Mapper::mapBatch(const std::string_view* records, size_t count,
                              mr::MapContext& ctx)
@@ -93,16 +78,6 @@ WikiLength::jobConfig(uint64_t items_per_block, uint32_t num_reducers)
 // ---------------------------------------------------------------------------
 // WikiPageRank
 // ---------------------------------------------------------------------------
-
-void
-WikiPageRank::Mapper::map(const std::string& record, mr::MapContext& ctx)
-{
-    std::vector<std::string> links;
-    workloads::wikiArticleLinks(record, links);
-    for (const std::string& target : links) {
-        ctx.write(target, 1.0);
-    }
-}
 
 void
 WikiPageRank::Mapper::mapBatch(const std::string_view* records,

@@ -21,16 +21,12 @@ class WikiLength
   public:
     static constexpr int kBinWidthBytes = 100;
 
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
     };
-
-    /** Bin key for an article size ("len00042" style, sortable). */
-    static std::string binKey(uint64_t size_bytes);
 
     static mr::Job::MapperFactory mapperFactory();
     static mr::Job::ReducerFactory preciseReducerFactory();
@@ -57,10 +53,9 @@ class WikiLength
 class WikiPageRank
 {
   public:
-    class Mapper : public core::MultiStageSamplingMapper
+    class Mapper : public mr::BatchMapper
     {
       public:
-        void map(const std::string& record, mr::MapContext& ctx) override;
         void mapBatch(const std::string_view* records, size_t count,
                       mr::MapContext& ctx) override;
 

@@ -1566,10 +1566,9 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
     // what lets the dataset synthesize the whole block at once and keep
     // it in the block cache — then handed to the mapper kBatchRecords at
     // a time, so the mapper pays one virtual dispatch per batch instead
-    // of per record. The batched path emits exactly what per-record
-    // map() calls over item() would (asserted by
-    // tests/apps/map_batch_test.cc and cross-checked by the chaos
-    // oracle's record-at-a-time replay).
+    // of per record. A mapper emits the same records however a task is
+    // split into batches (asserted by tests/apps/map_batch_test.cc and
+    // cross-checked by the chaos oracle's replay at batch width 1).
     constexpr size_t kBatchRecords = 256;
     hdfs::RecordBuffer batch;
     dataset_.readItems(task_id, good.data(), good.size(), batch);
@@ -1585,18 +1584,9 @@ Job::computeMapOutput(uint64_t task_id, uint64_t items_total,
     }
     mapper->cleanup(ctx);
 
-    std::vector<KeyValue> output = std::move(ctx.output());
+    std::vector<KeyValue> output = ctx.takeOutput();
     KeyInterner& interner = ctx.interner();
     std::vector<uint32_t> key_ids = ctx.keyIds();
-    if (key_ids.size() != output.size()) {
-        // A mapper pushed records through output() directly instead of
-        // write()/emit(); rebuild the id stream from the key strings.
-        key_ids.clear();
-        key_ids.reserve(output.size());
-        for (const KeyValue& kv : output) {
-            key_ids.push_back(interner.intern(kv.key));
-        }
-    }
     if (combiner_ != nullptr && !output.empty()) {
         // Map-side combine on interned ids: a stable counting sort
         // gathers each key's records contiguously (emission order

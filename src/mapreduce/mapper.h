@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -78,8 +79,11 @@ class MapContext
     /** Task-private randomness (e.g., for Monte Carlo map tasks). */
     Rng& rng() { return rng_; }
 
-    /** Emitted records; consumed by the framework after the task runs. */
-    std::vector<KeyValue>& output() { return output_; }
+    /** Emitted records, in emission order. */
+    const std::vector<KeyValue>& output() const { return output_; }
+
+    /** Moves the emitted records out; the framework calls this once. */
+    std::vector<KeyValue> takeOutput() { return std::move(output_); }
 
     /** Interned key id per emitted record (parallel to output()). */
     const std::vector<uint32_t>& keyIds() const { return key_ids_; }
@@ -100,11 +104,11 @@ class MapContext
 
 /**
  * User map function. One instance is created per map task (so instances
- * may keep per-task state between map() calls, like Hadoop's Mapper).
+ * may keep per-task state between calls, like Hadoop's Mapper).
  *
- * Each input record is one data item of the block; the framework calls
- * map() once per (sampled) item. This mirrors Hadoop's TextInputFormat
- * convention where the value is one line of the input file.
+ * Each input record is one data item of the block, and every (sampled)
+ * item is mapped once. This mirrors Hadoop's TextInputFormat convention
+ * where the value is one line of the input file.
  */
 class Mapper
 {
@@ -114,17 +118,15 @@ class Mapper
     /** Called once before the first record. */
     virtual void setup(MapContext& /*ctx*/) {}
 
-    /** Called for every (sampled) input record. */
+    /** Maps one (sampled) input record. */
     virtual void map(const std::string& record, MapContext& ctx) = 0;
 
     /**
-     * Batched map call: processes a block of records in one virtual
-     * dispatch. The default loops over map(); hot mappers override it to
-     * parse the record views in place (no per-record std::string). An
-     * override must emit exactly what per-record map() calls would —
-     * the batched and record-at-a-time paths are asserted byte-identical
-     * (tests/apps/map_batch_test.cc) and the chaos oracle replays tasks
-     * through map().
+     * Batched map call: processes a run of records in one virtual
+     * dispatch (Job::computeMapOutput hands over kBatchRecords views at
+     * a time). The default loops over map(), so a record-at-a-time
+     * mapper works unchanged; BatchMapper subclasses write only this
+     * body and get map() as a batch of one.
      */
     virtual void
     mapBatch(const std::string_view* records, size_t count, MapContext& ctx)
@@ -138,6 +140,28 @@ class Mapper
 
     /** Called once after the last record. */
     virtual void cleanup(MapContext& /*ctx*/) {}
+};
+
+/**
+ * A mapper whose one body is mapBatch(), parsing record views in place
+ * (no per-record std::string). map() runs that body on a batch of one,
+ * so record-at-a-time callers such as the chaos oracle's replay see
+ * exactly what the batched path emits. A subclass must emit the same
+ * records however a task's records are split into batches
+ * (tests/apps/map_batch_test.cc checks widths 1, 5 and a whole block).
+ */
+class BatchMapper : public Mapper
+{
+  public:
+    void
+    map(const std::string& record, MapContext& ctx) final
+    {
+        std::string_view view(record);
+        mapBatch(&view, 1, ctx);
+    }
+
+    void mapBatch(const std::string_view* records, size_t count,
+                  MapContext& ctx) override = 0;
 };
 
 }  // namespace approxhadoop::mr

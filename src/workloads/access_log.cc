@@ -85,20 +85,6 @@ makeAccessLog(const AccessLogParams& params)
 }
 
 bool
-parseAccessLogEntry(const std::string& record, AccessLogEntry& entry)
-{
-    AccessLogEntryView view;
-    if (!parseAccessLogEntry(std::string_view(record), view)) {
-        return false;
-    }
-    entry.timestamp = view.timestamp;
-    entry.project.assign(view.project);
-    entry.page.assign(view.page);
-    entry.bytes = view.bytes;
-    return true;
-}
-
-bool
 parseAccessLogEntry(std::string_view record, AccessLogEntryView& entry)
 {
     size_t t1 = record.find('\t');

@@ -45,15 +45,6 @@ struct AccessLogParams
     uint64_t seed = 2013;
 };
 
-/** One parsed access-log record. */
-struct AccessLogEntry
-{
-    uint64_t timestamp = 0;
-    std::string project;
-    std::string page;
-    uint64_t bytes = 0;
-};
-
 /** Builds the synthetic access log as a lazily generated dataset. */
 std::unique_ptr<hdfs::BlockDataset>
 makeAccessLog(const AccessLogParams& params);
@@ -67,10 +58,10 @@ struct AccessLogEntryView
     uint64_t bytes = 0;
 };
 
-/** Parses an access-log record (returns false on malformed input). */
-bool parseAccessLogEntry(const std::string& record, AccessLogEntry& entry);
-
-/** Zero-copy variant: fields are views into @p record. */
+/**
+ * Parses an access-log record (returns false on malformed input). The
+ * fields are views into @p record and dangle once it is gone.
+ */
 bool parseAccessLogEntry(std::string_view record, AccessLogEntryView& entry);
 
 /**

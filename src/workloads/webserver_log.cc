@@ -124,22 +124,6 @@ makeWebServerLog(const WebServerLogParams& params)
 }
 
 bool
-parseWebLogEntry(const std::string& record, WebLogEntry& entry)
-{
-    WebLogEntryView view;
-    if (!parseWebLogEntry(std::string_view(record), view)) {
-        return false;
-    }
-    entry.hour_of_week = view.hour_of_week;
-    entry.client.assign(view.client);
-    entry.url.assign(view.url);
-    entry.bytes = view.bytes;
-    entry.browser.assign(view.browser);
-    entry.attack = view.attack;
-    return true;
-}
-
-bool
 parseWebLogEntry(std::string_view record, WebLogEntryView& entry)
 {
     size_t pos = 0;

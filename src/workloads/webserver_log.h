@@ -43,18 +43,6 @@ struct WebServerLogParams
     uint64_t seed = 2012;
 };
 
-/** One parsed web-server log record. */
-struct WebLogEntry
-{
-    /** Hour within the week, 0..167 (0 = Monday 00:00). */
-    uint32_t hour_of_week = 0;
-    std::string client;
-    std::string url;
-    uint64_t bytes = 0;
-    std::string browser;
-    bool attack = false;
-};
-
 /** Builds the synthetic web-server log. */
 std::unique_ptr<hdfs::BlockDataset>
 makeWebServerLog(const WebServerLogParams& params);
@@ -62,6 +50,7 @@ makeWebServerLog(const WebServerLogParams& params);
 /** One parsed web-server log record with zero-copy field views. */
 struct WebLogEntryView
 {
+    /** Hour within the week, 0..167 (0 = Monday 00:00). */
     uint32_t hour_of_week = 0;
     std::string_view client;
     std::string_view url;
@@ -70,10 +59,10 @@ struct WebLogEntryView
     bool attack = false;
 };
 
-/** Parses a web-server log record. */
-bool parseWebLogEntry(const std::string& record, WebLogEntry& entry);
-
-/** Zero-copy variant: fields are views into @p record. */
+/**
+ * Parses a web-server log record (returns false on malformed input). The
+ * fields are views into @p record and dangle once it is gone.
+ */
 bool parseWebLogEntry(std::string_view record, WebLogEntryView& entry);
 
 // weeklyIntensity(hour_of_week) now lives in workloads/intensity.h so the

@@ -105,16 +105,6 @@ wikiArticleSize(std::string_view record)
 }
 
 void
-wikiArticleLinks(const std::string& record, std::vector<std::string>& out)
-{
-    std::vector<std::string_view> views;
-    wikiArticleLinks(std::string_view(record), views);
-    for (std::string_view v : views) {
-        out.emplace_back(v);
-    }
-}
-
-void
 wikiArticleLinks(std::string_view record, std::vector<std::string_view>& out)
 {
     size_t first = record.find('\t');

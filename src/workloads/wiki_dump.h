@@ -51,11 +51,10 @@ makeWikiDump(const WikiDumpParams& params);
 /** Parses the size field of a dump record. */
 uint64_t wikiArticleSize(std::string_view record);
 
-/** Appends the link targets of a dump record to @p out. */
-void wikiArticleLinks(const std::string& record,
-                      std::vector<std::string>& out);
-
-/** Zero-copy variant: link targets as views into @p record. */
+/**
+ * Appends the link targets of a dump record to @p out, as views into
+ * @p record.
+ */
 void wikiArticleLinks(std::string_view record,
                       std::vector<std::string_view>& out);
 

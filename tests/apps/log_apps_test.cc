@@ -97,8 +97,9 @@ TEST(PageTrafficTest, SumsBytes)
     double expected = 0.0;
     for (uint64_t b = 0; b < log->numBlocks(); ++b) {
         for (uint64_t i = 0; i < log->itemsInBlock(b); ++i) {
-            workloads::AccessLogEntry e;
-            ASSERT_TRUE(workloads::parseAccessLogEntry(log->item(b, i), e));
+            std::string record = log->item(b, i);
+            workloads::AccessLogEntryView e;
+            ASSERT_TRUE(workloads::parseAccessLogEntry(record, e));
             expected += static_cast<double>(e.bytes);
         }
     }

@@ -1,13 +1,15 @@
 /**
  * @file
- * The batched-execution contract of every registry workload: a
- * mapBatch() override must emit exactly the records that per-record
- * map() calls would, and a dataset's readItems() must serve bytes
- * identical to item(). Both equivalences are what lets the batched hot
- * path in Job::computeMapOutput coexist with the record-at-a-time
- * replay in the chaos oracle — any divergence here is a determinism
- * bug, not a perf tradeoff.
+ * The batched-execution contract of every registry workload: a mapper
+ * emits the same records and key ids however a task's records are split
+ * into batches, and a dataset's readItems() serves bytes identical to
+ * item(). Job::computeMapOutput hands a mapper up to 256 records per
+ * mapBatch() call while the chaos oracle replays through map(), a batch
+ * of one; the slice widths below (1, 5, whole block) also catch state a
+ * mapper wrongly carries from one batch to the next. Any divergence
+ * here is a determinism bug, not a perf tradeoff.
  */
+#include <algorithm>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -51,6 +53,22 @@ freshContext(uint64_t task_id)
                           Rng(kSeed).derive(0xA11CE + task_id));
 }
 
+/** Maps @p views in consecutive mapBatch() slices of @p width records. */
+mr::MapContext
+mapInSlices(const apps::AggregationWorkload& w, uint64_t block,
+            const std::vector<std::string_view>& views, size_t width)
+{
+    auto mapper = w.mapper_factory()();
+    mr::MapContext ctx = freshContext(block);
+    mapper->setup(ctx);
+    for (size_t pos = 0; pos < views.size(); pos += width) {
+        mapper->mapBatch(views.data() + pos,
+                         std::min(width, views.size() - pos), ctx);
+    }
+    mapper->cleanup(ctx);
+    return ctx;
+}
+
 TEST_P(MapBatchEquivalence, BatchedOutputMatchesRecordAtATime)
 {
     const apps::AggregationWorkload* w =
@@ -67,11 +85,17 @@ TEST_P(MapBatchEquivalence, BatchedOutputMatchesRecordAtATime)
             ref_mapper->map(data->item(block, i), ref_ctx);
         }
         ref_mapper->cleanup(ref_ctx);
+        const auto& ref = ref_ctx.output();
+        // keyIds() must stay parallel to output() and decode back to the
+        // emitted key — the combine/partition stages run on these ids.
+        ASSERT_EQ(ref_ctx.keyIds().size(), ref.size());
+        for (size_t i = 0; i < ref.size(); ++i) {
+            EXPECT_EQ(ref_ctx.interner().key(ref_ctx.keyIds()[i]),
+                      ref[i].key);
+        }
 
-        // Batched path, as Job::computeMapOutput drives it.
-        auto batch_mapper = w->mapper_factory()();
-        mr::MapContext batch_ctx = freshContext(block);
-        batch_mapper->setup(batch_ctx);
+        // Batched paths over readItems() views, as Job::computeMapOutput
+        // drives them.
         std::vector<uint64_t> indices(kItems);
         std::iota(indices.begin(), indices.end(), 0);
         hdfs::RecordBuffer buffer;
@@ -80,31 +104,20 @@ TEST_P(MapBatchEquivalence, BatchedOutputMatchesRecordAtATime)
         for (size_t i = 0; i < indices.size(); ++i) {
             views.push_back(buffer.record(i));
         }
-        batch_mapper->mapBatch(views.data(), views.size(), batch_ctx);
-        batch_mapper->cleanup(batch_ctx);
-
-        const auto& ref = ref_ctx.output();
-        const auto& batch = batch_ctx.output();
-        ASSERT_EQ(ref.size(), batch.size()) << "block " << block;
-        for (size_t i = 0; i < ref.size(); ++i) {
-            EXPECT_EQ(ref[i].key, batch[i].key)
-                << "block " << block << " record " << i;
-            EXPECT_EQ(ref[i].value, batch[i].value)
-                << "block " << block << " record " << i;
-            EXPECT_EQ(ref[i].value2, batch[i].value2)
-                << "block " << block << " record " << i;
-            EXPECT_EQ(ref[i].value3, batch[i].value3)
-                << "block " << block << " record " << i;
-            EXPECT_EQ(ref[i].value4, batch[i].value4)
-                << "block " << block << " record " << i;
-        }
-
-        // keyIds() must stay parallel to output() and decode back to the
-        // emitted key — the combine/partition stages run on these ids.
-        ASSERT_EQ(batch_ctx.keyIds().size(), batch.size());
-        for (size_t i = 0; i < batch.size(); ++i) {
-            EXPECT_EQ(batch_ctx.interner().key(batch_ctx.keyIds()[i]),
-                      batch[i].key);
+        for (size_t width : {size_t{1}, size_t{5}, views.size()}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "block " << block << " width " << width);
+            mr::MapContext ctx = mapInSlices(*w, block, views, width);
+            const auto& out = ctx.output();
+            ASSERT_EQ(ref.size(), out.size());
+            for (size_t i = 0; i < ref.size(); ++i) {
+                EXPECT_EQ(ref[i].key, out[i].key) << "record " << i;
+                EXPECT_EQ(ref[i].value, out[i].value) << "record " << i;
+                EXPECT_EQ(ref[i].value2, out[i].value2) << "record " << i;
+                EXPECT_EQ(ref[i].value3, out[i].value3) << "record " << i;
+                EXPECT_EQ(ref[i].value4, out[i].value4) << "record " << i;
+            }
+            EXPECT_EQ(ref_ctx.keyIds(), ctx.keyIds());
         }
     }
 }

@@ -50,8 +50,9 @@ TEST(AttackFrequenciesTest, OnlyAttackLinesCounted)
     uint64_t expected = 0;
     for (uint64_t b = 0; b < log->numBlocks(); ++b) {
         for (uint64_t i = 0; i < log->itemsInBlock(b); ++i) {
-            workloads::WebLogEntry e;
-            ASSERT_TRUE(workloads::parseWebLogEntry(log->item(b, i), e));
+            std::string record = log->item(b, i);
+            workloads::WebLogEntryView e;
+            ASSERT_TRUE(workloads::parseWebLogEntry(record, e));
             if (e.attack) {
                 ++expected;
             }

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/approx_config.h"
 #include "core/approx_job.h"
 #include "hdfs/namenode.h"
+#include "mapreduce/mapper.h"
 #include "sim/cluster.h"
 #include "workloads/wiki_dump.h"
 
@@ -22,10 +24,19 @@ smallDump()
 
 TEST(WikiLengthTest, BinKeyFormat)
 {
-    EXPECT_EQ(WikiLength::binKey(0), "len00000000");
-    EXPECT_EQ(WikiLength::binKey(99), "len00000000");
-    EXPECT_EQ(WikiLength::binKey(100), "len00000100");
-    EXPECT_EQ(WikiLength::binKey(12345), "len00012300");
+    // Bin keys are "len" plus the bin's lower edge, zero-padded to 8
+    // digits so they sort numerically.
+    WikiLength::Mapper mapper;
+    mr::MapContext ctx(0, 4, 4, false, Rng(1));
+    for (const char* record :
+         {"a1\t0\t", "a2\t99\t", "a3\t100\t", "a4\t12345\t"}) {
+        mapper.map(record, ctx);
+    }
+    ASSERT_EQ(ctx.output().size(), 4u);
+    EXPECT_EQ(ctx.output()[0].key, "len00000000");
+    EXPECT_EQ(ctx.output()[1].key, "len00000000");
+    EXPECT_EQ(ctx.output()[2].key, "len00000100");
+    EXPECT_EQ(ctx.output()[3].key, "len00012300");
 }
 
 TEST(WikiLengthTest, PreciseCountsMatchDataset)

@@ -1,6 +1,8 @@
 #include "workloads/access_log.h"
 
 #include <map>
+#include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -15,10 +17,11 @@ TEST(AccessLogTest, RecordsParse)
     auto ds = makeAccessLog(params);
     for (uint64_t b = 0; b < 5; ++b) {
         for (uint64_t i = 0; i < 100; ++i) {
-            AccessLogEntry entry;
-            ASSERT_TRUE(parseAccessLogEntry(ds->item(b, i), entry));
+            std::string record = ds->item(b, i);
+            AccessLogEntryView entry;
+            ASSERT_TRUE(parseAccessLogEntry(record, entry));
             EXPECT_FALSE(entry.project.empty());
-            EXPECT_NE(entry.page.find(entry.project), std::string::npos)
+            EXPECT_NE(entry.page.find(entry.project), std::string_view::npos)
                 << "page id embeds its project";
             EXPECT_GT(entry.bytes, 0u);
         }
@@ -31,10 +34,12 @@ TEST(AccessLogTest, TimestampsAdvanceWithBlocks)
     params.num_blocks = 3;
     params.entries_per_block = 50;
     auto ds = makeAccessLog(params);
-    AccessLogEntry early;
-    AccessLogEntry late;
-    ASSERT_TRUE(parseAccessLogEntry(ds->item(0, 0), early));
-    ASSERT_TRUE(parseAccessLogEntry(ds->item(2, 0), late));
+    std::string early_record = ds->item(0, 0);
+    std::string late_record = ds->item(2, 0);
+    AccessLogEntryView early;
+    AccessLogEntryView late;
+    ASSERT_TRUE(parseAccessLogEntry(early_record, early));
+    ASSERT_TRUE(parseAccessLogEntry(late_record, late));
     EXPECT_LT(early.timestamp, late.timestamp);
 }
 
@@ -47,9 +52,10 @@ TEST(AccessLogTest, ProjectPopularityIsZipfLike)
     std::map<std::string, int> counts;
     for (uint64_t b = 0; b < 40; ++b) {
         for (uint64_t i = 0; i < 200; ++i) {
-            AccessLogEntry entry;
-            ASSERT_TRUE(parseAccessLogEntry(ds->item(b, i), entry));
-            ++counts[entry.project];
+            std::string record = ds->item(b, i);
+            AccessLogEntryView entry;
+            ASSERT_TRUE(parseAccessLogEntry(record, entry));
+            ++counts[std::string(entry.project)];
         }
     }
     // proj0 must dominate (the "English project" of the paper).
@@ -64,7 +70,7 @@ TEST(AccessLogTest, ProjectPopularityIsZipfLike)
 
 TEST(AccessLogTest, ParserRejectsGarbage)
 {
-    AccessLogEntry entry;
+    AccessLogEntryView entry;
     EXPECT_FALSE(parseAccessLogEntry("", entry));
     EXPECT_FALSE(parseAccessLogEntry("only one field", entry));
     EXPECT_FALSE(parseAccessLogEntry("1\t2", entry));

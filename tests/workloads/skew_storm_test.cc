@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,12 +100,13 @@ TEST(SkewStormTest, RecordsParseAsAccessLogEntries)
     for (uint64_t b = 0; b < 6; ++b) {
         uint64_t n = ds->itemsInBlock(b);
         for (uint64_t i = 0; i < n; ++i) {
-            AccessLogEntry entry;
-            ASSERT_TRUE(parseAccessLogEntry(ds->item(b, i), entry))
+            std::string record = ds->item(b, i);
+            AccessLogEntryView entry;
+            ASSERT_TRUE(parseAccessLogEntry(record, entry))
                 << "block " << b << " item " << i;
             EXPECT_EQ(entry.project.rfind("proj", 0), 0u);
-            EXPECT_NE(entry.page.find("/page"), std::string::npos);
-            EXPECT_NE(entry.page.find(entry.project), std::string::npos);
+            EXPECT_NE(entry.page.find("/page"), std::string_view::npos);
+            EXPECT_NE(entry.page.find(entry.project), std::string_view::npos);
             EXPECT_GT(entry.bytes, 0u);
         }
     }
@@ -123,9 +125,10 @@ TEST(SkewStormTest, HotKeysConcentrateReducerLoad)
     for (uint64_t b = 0; b < 40; ++b) {
         uint64_t n = ds->itemsInBlock(b);
         for (uint64_t i = 0; i < n; ++i) {
-            AccessLogEntry entry;
-            ASSERT_TRUE(parseAccessLogEntry(ds->item(b, i), entry));
-            ++counts[entry.project];
+            std::string record = ds->item(b, i);
+            AccessLogEntryView entry;
+            ASSERT_TRUE(parseAccessLogEntry(record, entry));
+            ++counts[std::string(entry.project)];
             ++total;
         }
     }

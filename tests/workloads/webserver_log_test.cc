@@ -1,6 +1,7 @@
 #include "workloads/webserver_log.h"
 
 #include <map>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -15,8 +16,9 @@ TEST(WebServerLogTest, RecordsParse)
     auto ds = makeWebServerLog(params);
     for (uint64_t b = 0; b < 4; ++b) {
         for (uint64_t i = 0; i < 100; ++i) {
-            WebLogEntry entry;
-            ASSERT_TRUE(parseWebLogEntry(ds->item(b, i), entry));
+            std::string record = ds->item(b, i);
+            WebLogEntryView entry;
+            ASSERT_TRUE(parseWebLogEntry(record, entry));
             EXPECT_LT(entry.hour_of_week, 168u);
             EXPECT_FALSE(entry.client.empty());
             EXPECT_FALSE(entry.browser.empty());
@@ -50,8 +52,9 @@ TEST(WebServerLogTest, HourDistributionFollowsIntensity)
     std::vector<int> per_hour(168, 0);
     for (uint64_t b = 0; b < params.num_weeks; ++b) {
         for (uint64_t i = 0; i < params.entries_per_week; ++i) {
-            WebLogEntry entry;
-            ASSERT_TRUE(parseWebLogEntry(ds->item(b, i), entry));
+            std::string record = ds->item(b, i);
+            WebLogEntryView entry;
+            ASSERT_TRUE(parseWebLogEntry(record, entry));
             ++per_hour[entry.hour_of_week];
         }
     }
@@ -73,11 +76,12 @@ TEST(WebServerLogTest, AttacksAreRareAndConcentrated)
     std::map<std::string, int> attackers;
     for (uint64_t b = 0; b < params.num_weeks; ++b) {
         for (uint64_t i = 0; i < params.entries_per_week; ++i) {
-            WebLogEntry entry;
-            ASSERT_TRUE(parseWebLogEntry(ds->item(b, i), entry));
+            std::string record = ds->item(b, i);
+            WebLogEntryView entry;
+            ASSERT_TRUE(parseWebLogEntry(record, entry));
             if (entry.attack) {
                 ++attacks;
-                ++attackers[entry.client];
+                ++attackers[std::string(entry.client)];
             }
         }
     }
@@ -97,9 +101,10 @@ TEST(WebServerLogTest, BrowserMixIsPlausible)
     std::map<std::string, int> browsers;
     for (uint64_t b = 0; b < 10; ++b) {
         for (uint64_t i = 0; i < 1000; ++i) {
-            WebLogEntry entry;
-            ASSERT_TRUE(parseWebLogEntry(ds->item(b, i), entry));
-            ++browsers[entry.browser];
+            std::string record = ds->item(b, i);
+            WebLogEntryView entry;
+            ASSERT_TRUE(parseWebLogEntry(record, entry));
+            ++browsers[std::string(entry.browser)];
         }
     }
     EXPECT_EQ(browsers.size(), 5u);

@@ -43,10 +43,10 @@ TEST(WikiDumpTest, RecordsParse)
         for (uint64_t i = 0; i < 40; ++i) {
             std::string record = ds->item(b, i);
             EXPECT_GT(wikiArticleSize(record), 0u) << record;
-            std::vector<std::string> links;
+            std::vector<std::string_view> links;
             wikiArticleLinks(record, links);
             total_links += links.size();
-            for (const std::string& l : links) {
+            for (std::string_view l : links) {
                 EXPECT_EQ(l[0], 'a');
             }
         }
@@ -104,7 +104,7 @@ TEST(WikiDumpTest, BlocksHaveSizeLocality)
 TEST(WikiDumpTest, MalformedRecordHelpers)
 {
     EXPECT_EQ(wikiArticleSize("no-tabs-here"), 0u);
-    std::vector<std::string> links;
+    std::vector<std::string_view> links;
     wikiArticleLinks("no-tabs-here", links);
     EXPECT_TRUE(links.empty());
     wikiArticleLinks("a1\t100\t", links);
