@@ -109,7 +109,10 @@ main()
     mr::JobResult precise = runner1.runPrecise(
         wordCountConfig("wordcount-precise"),
         [] { return std::make_unique<WordCountMapper>(); },
-        [] { return std::make_unique<mr::SumReducer>(); });
+        [] {
+            return std::make_unique<mr::PreciseReducer>(
+                mr::PreciseReducer::Op::kSum);
+        });
     printTop("PRECISE", precise, 5);
 
     // --- 2. User-specified ratios: 10% sampling, 25% dropping --------------

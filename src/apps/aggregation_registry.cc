@@ -16,6 +16,9 @@ namespace approxhadoop::apps {
 
 namespace {
 
+using DatasetMaker = std::unique_ptr<hdfs::BlockDataset> (*)(
+    uint64_t blocks, uint64_t items, uint64_t seed);
+
 std::unique_ptr<hdfs::BlockDataset>
 makeWiki(uint64_t blocks, uint64_t items, uint64_t seed)
 {
@@ -56,74 +59,32 @@ makeWeb(uint64_t blocks, uint64_t items, uint64_t seed)
     return workloads::makeWebServerLog(params);
 }
 
+/** Builds the job config for a workload; wiki apps ignore the name. */
+using ConfigMaker = mr::JobConfig (*)(const std::string& name,
+                                      uint64_t items_per_block,
+                                      uint32_t num_reducers);
+
 template <typename App>
-AggregationWorkload
-wikiEntry(const std::string& name)
+mr::JobConfig
+wikiConfig(const std::string&, uint64_t items, uint32_t reducers)
 {
-    AggregationWorkload w;
-    w.name = name;
-    w.op = App::kOp;
-    w.default_blocks = 161;
-    w.default_items = 400;
-    w.make_dataset = makeWiki;
-    w.job_config = [](uint64_t items, uint32_t reducers) {
-        return App::jobConfig(items, reducers);
-    };
-    w.mapper_factory = [] { return App::mapperFactory(); };
-    w.precise_reducer_factory = [] { return App::preciseReducerFactory(); };
-    return w;
+    return App::jobConfig(items, reducers);
 }
 
 template <typename App>
 AggregationWorkload
-accessLogEntry(const std::string& name)
+entry(const std::string& name, uint64_t default_blocks,
+      uint64_t default_items, DatasetMaker make_dataset,
+      ConfigMaker make_config)
 {
     AggregationWorkload w;
     w.name = name;
     w.op = App::kOp;
-    w.default_blocks = 744;
-    w.default_items = 400;
-    w.make_dataset = makeLog;
-    w.job_config = [name](uint64_t items, uint32_t reducers) {
-        return logProcessingConfig(name, items, reducers);
-    };
-    w.mapper_factory = [] { return App::mapperFactory(); };
-    w.precise_reducer_factory = [] { return App::preciseReducerFactory(); };
-    return w;
-}
-
-/** Skew-storm variant of a log app: same record format and mapper,
- *  adversarial hot-key / Zipf-shifted-block-size input. */
-template <typename App>
-AggregationWorkload
-skewStormEntry(const std::string& name)
-{
-    AggregationWorkload w;
-    w.name = name;
-    w.op = App::kOp;
-    w.default_blocks = 744;
-    w.default_items = 400;
-    w.make_dataset = makeStorm;
-    w.job_config = [name](uint64_t items, uint32_t reducers) {
-        return logProcessingConfig(name, items, reducers);
-    };
-    w.mapper_factory = [] { return App::mapperFactory(); };
-    w.precise_reducer_factory = [] { return App::preciseReducerFactory(); };
-    return w;
-}
-
-template <typename App>
-AggregationWorkload
-webLogEntry(const std::string& name)
-{
-    AggregationWorkload w;
-    w.name = name;
-    w.op = App::kOp;
-    w.default_blocks = 80;
-    w.default_items = 2000;
-    w.make_dataset = makeWeb;
-    w.job_config = [name](uint64_t items, uint32_t reducers) {
-        return webServerLogConfig(name, items, reducers);
+    w.default_blocks = default_blocks;
+    w.default_items = default_items;
+    w.make_dataset = make_dataset;
+    w.job_config = [name, make_config](uint64_t items, uint32_t reducers) {
+        return make_config(name, items, reducers);
     };
     w.mapper_factory = [] { return App::mapperFactory(); };
     w.precise_reducer_factory = [] { return App::preciseReducerFactory(); };
@@ -136,18 +97,30 @@ const std::vector<AggregationWorkload>&
 aggregationWorkloads()
 {
     static const std::vector<AggregationWorkload> kWorkloads = {
-        wikiEntry<WikiLength>("wikilength"),
-        wikiEntry<WikiPageRank>("wikipagerank"),
-        accessLogEntry<ProjectPopularity>("projectpop"),
-        accessLogEntry<PagePopularity>("pagepop"),
-        accessLogEntry<PageTraffic>("pagetraffic"),
-        webLogEntry<WebRequestRate>("webrate"),
-        webLogEntry<AttackFrequencies>("attacks"),
-        webLogEntry<TotalSize>("totalsize"),
-        webLogEntry<RequestSize>("requestsize"),
-        webLogEntry<Clients>("clients"),
-        webLogEntry<ClientBrowser>("browsers"),
-        skewStormEntry<ProjectPopularity>("skewstorm"),
+        entry<WikiLength>("wikilength", 161, 400, makeWiki,
+                          wikiConfig<WikiLength>),
+        entry<WikiPageRank>("wikipagerank", 161, 400, makeWiki,
+                            wikiConfig<WikiPageRank>),
+        entry<ProjectPopularity>("projectpop", 744, 400, makeLog,
+                                 logProcessingConfig),
+        entry<PagePopularity>("pagepop", 744, 400, makeLog,
+                              logProcessingConfig),
+        entry<PageTraffic>("pagetraffic", 744, 400, makeLog,
+                           logProcessingConfig),
+        entry<WebRequestRate>("webrate", 80, 2000, makeWeb,
+                              webServerLogConfig),
+        entry<AttackFrequencies>("attacks", 80, 2000, makeWeb,
+                                 webServerLogConfig),
+        entry<TotalSize>("totalsize", 80, 2000, makeWeb, webServerLogConfig),
+        entry<RequestSize>("requestsize", 80, 2000, makeWeb,
+                           webServerLogConfig),
+        entry<Clients>("clients", 80, 2000, makeWeb, webServerLogConfig),
+        entry<ClientBrowser>("browsers", 80, 2000, makeWeb,
+                             webServerLogConfig),
+        // Skew-storm variant of projectpop: same record format and
+        // mapper, adversarial hot-key / Zipf-shifted-block-size input.
+        entry<ProjectPopularity>("skewstorm", 744, 400, makeStorm,
+                                 logProcessingConfig),
     };
     return kWorkloads;
 }

@@ -40,7 +40,10 @@ DCPlacementApp::mapperFactory(
 mr::Job::ReducerFactory
 DCPlacementApp::preciseReducerFactory()
 {
-    return [] { return std::make_unique<mr::MinReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kMin);
+    };
 }
 
 mr::JobConfig

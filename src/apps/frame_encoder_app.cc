@@ -101,7 +101,10 @@ FrameEncoderApp::mapperFactory()
 mr::Job::ReducerFactory
 FrameEncoderApp::reducerFactory()
 {
-    return [] { return std::make_unique<mr::AverageReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kAverage);
+    };
 }
 
 mr::JobConfig

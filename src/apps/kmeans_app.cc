@@ -132,7 +132,10 @@ KMeansApp::run(sim::Cluster& cluster, const hdfs::BlockDataset& dataset,
             [centroids, approx_dims] {
                 return std::make_unique<Mapper>(centroids, approx_dims);
             },
-            [] { return std::make_unique<mr::SumReducer>(); });
+            [] {
+                return std::make_unique<mr::PreciseReducer>(
+                    mr::PreciseReducer::Op::kSum);
+            });
 
         result.runtime += job.runtime;
         result.energy_wh += job.energy_wh;

@@ -48,7 +48,10 @@ ProjectPopularity::mapperFactory()
 mr::Job::ReducerFactory
 ProjectPopularity::preciseReducerFactory()
 {
-    return [] { return std::make_unique<mr::SumReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 void
@@ -72,7 +75,10 @@ PagePopularity::mapperFactory()
 mr::Job::ReducerFactory
 PagePopularity::preciseReducerFactory()
 {
-    return [] { return std::make_unique<mr::SumReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 void
@@ -96,7 +102,10 @@ PageTraffic::mapperFactory()
 mr::Job::ReducerFactory
 PageTraffic::preciseReducerFactory()
 {
-    return [] { return std::make_unique<mr::SumReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 void
@@ -125,7 +134,10 @@ LogRequestRate::mapperFactory()
 mr::Job::ReducerFactory
 LogRequestRate::preciseReducerFactory()
 {
-    return [] { return std::make_unique<mr::SumReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 }  // namespace approxhadoop::apps

@@ -8,16 +8,6 @@
 
 namespace approxhadoop::apps {
 
-namespace {
-
-mr::Job::ReducerFactory
-sumReducerFactory()
-{
-    return [] { return std::make_unique<mr::SumReducer>(); };
-}
-
-}  // namespace
-
 mr::JobConfig
 webServerLogConfig(const std::string& name, uint64_t items_per_block,
                    uint32_t num_reducers)
@@ -61,7 +51,10 @@ WebRequestRate::mapperFactory()
 mr::Job::ReducerFactory
 WebRequestRate::preciseReducerFactory()
 {
-    return sumReducerFactory();
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 void
@@ -85,7 +78,10 @@ AttackFrequencies::mapperFactory()
 mr::Job::ReducerFactory
 AttackFrequencies::preciseReducerFactory()
 {
-    return sumReducerFactory();
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 void
@@ -109,7 +105,10 @@ TotalSize::mapperFactory()
 mr::Job::ReducerFactory
 TotalSize::preciseReducerFactory()
 {
-    return sumReducerFactory();
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 void
@@ -133,7 +132,10 @@ RequestSize::mapperFactory()
 mr::Job::ReducerFactory
 RequestSize::preciseReducerFactory()
 {
-    return [] { return std::make_unique<mr::AverageReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kAverage);
+    };
 }
 
 void
@@ -157,7 +159,10 @@ Clients::mapperFactory()
 mr::Job::ReducerFactory
 Clients::preciseReducerFactory()
 {
-    return sumReducerFactory();
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 void
@@ -181,7 +186,10 @@ ClientBrowser::mapperFactory()
 mr::Job::ReducerFactory
 ClientBrowser::preciseReducerFactory()
 {
-    return sumReducerFactory();
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 }  // namespace approxhadoop::apps

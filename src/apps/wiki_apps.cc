@@ -52,7 +52,10 @@ WikiLength::mapperFactory()
 mr::Job::ReducerFactory
 WikiLength::preciseReducerFactory()
 {
-    return [] { return std::make_unique<mr::SumReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 mr::JobConfig
@@ -101,7 +104,10 @@ WikiPageRank::mapperFactory()
 mr::Job::ReducerFactory
 WikiPageRank::preciseReducerFactory()
 {
-    return [] { return std::make_unique<mr::SumReducer>(); };
+    return [] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    };
 }
 
 mr::JobConfig

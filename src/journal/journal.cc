@@ -20,10 +20,11 @@ constexpr uint64_t kFrameSeed = 0x4A4E4C31u;
 
 /** RunSpec blob version (first field of the header payload). Version 2
  *  changed the epoch's driver-RNG digest from a hash of the engine's
- *  text form to XXH64 over its raw state words and position, so a
- *  version-1 journal is rejected up front rather than failing resume
- *  verification on its first epoch. */
-constexpr uint64_t kSpecVersion = 2;
+ *  text form to XXH64 over its raw state words and position. Version 3
+ *  changed precise reducers' reducer_state blobs from buffered records
+ *  to per-key accumulators. Older journals are rejected up front rather
+ *  than failing resume verification on their first epoch. */
+constexpr uint64_t kSpecVersion = 3;
 
 void
 putRawU64(std::string& out, uint64_t v)

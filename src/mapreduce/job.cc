@@ -1136,8 +1136,7 @@ Job::failAttempt(uint64_t task_id, size_t attempt_index)
 void
 Job::onAttemptFailed(uint64_t task_id, size_t attempt_index)
 {
-    MapTaskInfo& task = tasks_[task_id];
-    assert(task.state == TaskState::kRunning);
+    assert(tasks_[task_id].state == TaskState::kRunning);
     failAttempt(task_id, attempt_index);
 
     for (const Attempt& a : exec_[task_id].attempts) {

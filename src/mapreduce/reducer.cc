@@ -7,126 +7,58 @@
 namespace approxhadoop::mr {
 
 void
-GroupingReducer::consume(const MapOutputChunk& chunk)
+PreciseReducer::consume(const MapOutputChunk& chunk)
 {
     for (const KeyValue& kv : chunk.records) {
-        groups_[kv.key].push_back(kv);
+        Acc& acc = acc_[kv.key];
+        if (op_ == Op::kMin) {
+            acc.value = acc.n == 0 ? kv.value : std::min(acc.value, kv.value);
+        } else {
+            acc.value += kv.value;
+        }
+        ++acc.n;
     }
 }
 
 void
-GroupingReducer::finalize(ReduceContext& ctx)
+PreciseReducer::finalize(ReduceContext& ctx)
 {
-    for (const auto& [key, values] : groups_) {
-        reduce(key, values, ctx);
+    for (const auto& [key, acc] : acc_) {
+        ctx.write(key, op_ == Op::kAverage
+                           ? acc.value / static_cast<double>(acc.n)
+                           : acc.value);
     }
 }
 
 bool
-GroupingReducer::checkpoint(std::string& state) const
+PreciseReducer::checkpoint(std::string& state) const
 {
     integrity::BlobWriter w;
-    w.putU64(groups_.size());
-    for (const auto& [key, values] : groups_) {
+    w.putU64(acc_.size());
+    for (const auto& [key, acc] : acc_) {
         w.putString(key);
-        w.putU64(values.size());
-        for (const KeyValue& kv : values) {
-            w.putString(kv.key);
-            w.putDouble(kv.value);
-            w.putDouble(kv.value2);
-            w.putDouble(kv.value3);
-            w.putDouble(kv.value4);
-        }
+        w.putDouble(acc.value);
+        w.putU64(acc.n);
     }
     state = w.release();
     return true;
 }
 
 bool
-GroupingReducer::restore(const std::string& state)
+PreciseReducer::restore(const std::string& state)
 {
     integrity::BlobReader r(state);
-    std::map<std::string, std::vector<KeyValue>> groups;
-    uint64_t num_groups = r.getU64();
-    for (uint64_t g = 0; g < num_groups; ++g) {
+    std::map<std::string, Acc> acc;
+    uint64_t num_keys = r.getU64();
+    for (uint64_t k = 0; k < num_keys; ++k) {
         std::string key = r.getString();
-        uint64_t count = r.getU64();
-        std::vector<KeyValue>& values = groups[key];
-        values.reserve(count);
-        for (uint64_t i = 0; i < count; ++i) {
-            KeyValue kv;
-            kv.key = r.getString();
-            kv.value = r.getDouble();
-            kv.value2 = r.getDouble();
-            kv.value3 = r.getDouble();
-            kv.value4 = r.getDouble();
-            values.push_back(std::move(kv));
-        }
+        Acc& a = acc[std::move(key)];
+        a.value = r.getDouble();
+        a.n = r.getU64();
     }
     r.expectEnd();
-    groups_ = std::move(groups);
+    acc_ = std::move(acc);
     return true;
-}
-
-void
-SumReducer::reduce(const std::string& key,
-                   const std::vector<KeyValue>& values, ReduceContext& ctx)
-{
-    double sum = 0.0;
-    for (const KeyValue& kv : values) {
-        sum += kv.value;
-    }
-    ctx.write(key, sum);
-}
-
-void
-CountReducer::reduce(const std::string& key,
-                     const std::vector<KeyValue>& values, ReduceContext& ctx)
-{
-    ctx.write(key, static_cast<double>(values.size()));
-}
-
-void
-AverageReducer::reduce(const std::string& key,
-                       const std::vector<KeyValue>& values,
-                       ReduceContext& ctx)
-{
-    if (values.empty()) {
-        return;
-    }
-    double sum = 0.0;
-    for (const KeyValue& kv : values) {
-        sum += kv.value;
-    }
-    ctx.write(key, sum / static_cast<double>(values.size()));
-}
-
-void
-MinReducer::reduce(const std::string& key,
-                   const std::vector<KeyValue>& values, ReduceContext& ctx)
-{
-    if (values.empty()) {
-        return;
-    }
-    double best = values.front().value;
-    for (const KeyValue& kv : values) {
-        best = std::min(best, kv.value);
-    }
-    ctx.write(key, best);
-}
-
-void
-MaxReducer::reduce(const std::string& key,
-                   const std::vector<KeyValue>& values, ReduceContext& ctx)
-{
-    if (values.empty()) {
-        return;
-    }
-    double best = values.front().value;
-    for (const KeyValue& kv : values) {
-        best = std::max(best, kv.value);
-    }
-    ctx.write(key, best);
 }
 
 }  // namespace approxhadoop::mr

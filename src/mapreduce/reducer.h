@@ -136,75 +136,43 @@ class Reducer
 };
 
 /**
- * Convenience base class providing the classic Hadoop reduce(key, values)
- * interface on top of the incremental one: chunks are buffered, grouped
- * by key, and reduce() is called per key at finalize time.
+ * Precise per-key reducer, the analogue of stock Hadoop's per-key
+ * reduce (e.g. LongSumReducer): each record is folded into its key's
+ * accumulator as it is delivered, so state and checkpoints are
+ * O(distinct keys) rather than O(records). finalize() writes one record
+ * per key, sorted by key.
  */
-class GroupingReducer : public Reducer
+class PreciseReducer : public Reducer
 {
   public:
+    enum class Op
+    {
+        /** Sum of values, folded from 0.0 in delivery order. */
+        kSum,
+        /** Sum of values over their count. */
+        kAverage,
+        /** Smallest value. */
+        kMin,
+    };
+
+    explicit PreciseReducer(Op op) : op_(op) {}
+
     void consume(const MapOutputChunk& chunk) override;
     void finalize(ReduceContext& ctx) override;
 
-    /** Serializes the key → buffered-records map (the default
-     *  checkpoint format promised by the Reducer interface). */
+    /** Serializes the key count, then per key its string, value and n. */
     bool checkpoint(std::string& state) const override;
     bool restore(const std::string& state) override;
 
-    /** Classic per-key reduction over all buffered records. */
-    virtual void reduce(const std::string& key,
-                        const std::vector<KeyValue>& values,
-                        ReduceContext& ctx) = 0;
-
-  protected:
-    const std::map<std::string, std::vector<KeyValue>>&
-    groups() const
-    {
-        return groups_;
-    }
-
   private:
-    std::map<std::string, std::vector<KeyValue>> groups_;
-};
+    struct Acc
+    {
+        double value = 0.0;
+        uint64_t n = 0;
+    };
 
-/** Precise sum-per-key reducer (Hadoop's LongSumReducer analogue). */
-class SumReducer : public GroupingReducer
-{
-  public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
-};
-
-/** Precise record-count-per-key reducer. */
-class CountReducer : public GroupingReducer
-{
-  public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
-};
-
-/** Precise mean-of-values-per-key reducer. */
-class AverageReducer : public GroupingReducer
-{
-  public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
-};
-
-/** Precise minimum-per-key reducer. */
-class MinReducer : public GroupingReducer
-{
-  public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
-};
-
-/** Precise maximum-per-key reducer. */
-class MaxReducer : public GroupingReducer
-{
-  public:
-    void reduce(const std::string& key, const std::vector<KeyValue>& values,
-                ReduceContext& ctx) override;
+    Op op_;
+    std::map<std::string, Acc> acc_;
 };
 
 }  // namespace approxhadoop::mr

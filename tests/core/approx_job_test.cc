@@ -68,7 +68,10 @@ TEST(ApproxJobRunnerTest, PreciseRun)
     ApproxJobRunner runner(cluster, ds, nn);
     mr::JobResult result = runner.runPrecise(
         fastConfig(), [] { return std::make_unique<OneMapper>(); },
-        [] { return std::make_unique<mr::SumReducer>(); });
+        [] {
+            return std::make_unique<mr::PreciseReducer>(
+                mr::PreciseReducer::Op::kSum);
+        });
     EXPECT_DOUBLE_EQ(result.find("k")->value, 32.0 * 40.0);
 }
 
@@ -155,7 +158,10 @@ TEST(ApproxJobRunnerTest, UserDefinedFractionControlsVariantMix)
     mr::JobResult result = runner.runUserDefined(
         fastConfig(1), approx,
         [] { return std::make_unique<VariantProbeMapper>(); },
-        [] { return std::make_unique<mr::SumReducer>(); });
+        [] {
+            return std::make_unique<mr::PreciseReducer>(
+                mr::PreciseReducer::Op::kSum);
+        });
     const mr::OutputRecord* precise = result.find("precise");
     const mr::OutputRecord* approx_rec = result.find("approx");
     ASSERT_NE(precise, nullptr);

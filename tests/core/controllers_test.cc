@@ -66,7 +66,10 @@ TEST(UserRatioControllerTest, DropsRequestedFraction)
     UserRatioController controller(0.25);
     mr::Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<ConstantMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<mr::SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     mr::JobResult result = job.run();
     EXPECT_EQ(result.counters.maps_dropped, 10u);
@@ -81,7 +84,10 @@ TEST(UserRatioControllerTest, ZeroRatioDropsNothing)
     UserRatioController controller(0.0);
     mr::Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<ConstantMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<mr::SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     EXPECT_EQ(job.run().counters.maps_dropped, 0u);
 }

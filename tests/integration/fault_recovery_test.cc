@@ -9,11 +9,13 @@
  *    would (verified against the two-stage estimator directly);
  *  - target-error jobs absorb failures without re-running them and the
  *    reported CI covers the precise answer;
+ *  - precise reducers recover from reduce crashes bit-identically;
  *  - server crashes fail over to the surviving servers;
  *  - injected stragglers trigger speculative execution.
  *
  * The "FaultRecovery" test-name prefix is matched by the TSan CI job.
  */
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -24,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/aggregation_registry.h"
 #include "core/approx_config.h"
 #include "core/approx_input_format.h"
 #include "core/approx_job.h"
@@ -317,6 +320,54 @@ TEST(FaultRecoveryTest, ReducerRecoveryBitIdenticalToFaultFree)
     }
 }
 
+mr::JobResult
+runRegistryPrecise(const std::string& name, const std::string& fault_plan,
+                   uint32_t threads)
+{
+    const apps::AggregationWorkload* w = apps::findAggregationWorkload(name);
+    auto data = w->make_dataset(40, 80, 3);
+    sim::Cluster cluster(sim::ClusterConfig::xeon10());
+    hdfs::NameNode nn(cluster.numServers(), 3, 7);
+    core::ApproxJobRunner runner(cluster, *data, nn);
+    mr::JobConfig config = w->job_config(80, 2);
+    config.fault_plan = ft::FaultPlan::parse(fault_plan);
+    config.num_exec_threads = threads;
+    config.reducer_checkpoint_interval = 5;
+    return runner.runPrecise(config, w->mapper_factory(),
+                             w->precise_reducer_factory());
+}
+
+TEST(FaultRecoveryTest, PreciseReducerRecoveryBitIdenticalToFaultFree)
+{
+    // mr::PreciseReducer checkpoints its per-key accumulators; a crashed
+    // reduce attempt restores them and replays the retained chunks in
+    // delivery order, so every output bit of a precise run (Sum for
+    // projectpop, Average for requestsize) survives reduce crashes.
+    for (const char* name : {"projectpop", "requestsize"}) {
+        mr::JobResult fault_free = runRegistryPrecise(name, "", 1);
+        EXPECT_EQ(fault_free.counters.reduce_attempts_failed, 0u);
+        ASSERT_FALSE(fault_free.output.empty()) << name;
+
+        for (uint32_t threads : {1u, 8u}) {
+            mr::JobResult recovered =
+                runRegistryPrecise(name, "rcrash=0.9,seed=11", threads);
+            EXPECT_GT(recovered.counters.reduce_attempts_failed, 0u)
+                << name << " @" << threads;
+            EXPECT_GT(recovered.counters.chunks_replayed, 0u);
+            EXPECT_GT(recovered.counters.reducer_checkpoints, 0u);
+
+            auto want = fault_free.toMap();
+            auto got = recovered.toMap();
+            ASSERT_EQ(want.size(), got.size());
+            for (const auto& [key, rec] : want) {
+                EXPECT_EQ(std::bit_cast<uint64_t>(rec.value),
+                          std::bit_cast<uint64_t>(got.at(key).value))
+                    << name << " " << key << " @" << threads;
+            }
+        }
+    }
+}
+
 TEST(FaultRecoveryTest, CorruptionAbsorbMatchesDroppedClusterEstimator)
 {
     // A chunk whose checksum verification keeps failing loses the map
@@ -443,7 +494,10 @@ runPlainJob(mr::JobConfig config, int blocks = 40)
     hdfs::InMemoryDataset ds(recs, 1);
     mr::Job job(cluster, ds, nn, std::move(config));
     job.setMapperFactory([] { return std::make_unique<OneMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<mr::SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    });
     return job.run();
 }
 
@@ -469,7 +523,10 @@ TEST(FaultRecoveryTest, RepairedServerRejoinsTheCluster)
     config.fault_plan = ft::FaultPlan::parse("server=1@5+20");
     mr::Job job(cluster, ds, nn, config);
     job.setMapperFactory([] { return std::make_unique<OneMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<mr::SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<mr::PreciseReducer>(
+            mr::PreciseReducer::Op::kSum);
+    });
     mr::JobResult result = job.run();
     EXPECT_EQ(result.counters.maps_completed, 40u);
     EXPECT_EQ(cluster.server(1).state(), sim::ServerState::kActive);

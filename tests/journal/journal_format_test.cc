@@ -189,18 +189,22 @@ TEST(JournalFormatTest, RecordedImageIsMagicPlusFramedEncodings)
 
 TEST(JournalFormatTest, OlderHeaderVersionIsRejectedByVersion)
 {
-    // Version 1 hashed the driver RNG's text form; its epochs could never
-    // verify, so the header is refused before any epoch is compared.
-    std::string header = makeSpec().serialize();
-    header[0] = 1;  // little-endian u64 version field
-    std::string image = "AXHJNL1\n" + frameByHand(header);
-    try {
-        parseJournal(image);
-        FAIL() << "version-1 header accepted";
-    } catch (const JournalError& e) {
-        EXPECT_NE(std::string(e.what()).find("unsupported header version 1"),
-                  std::string::npos)
-            << e.what();
+    // Version 1 hashed the driver RNG's text form; version 2 stored
+    // precise reducers' buffered records. Both headers are refused
+    // before any epoch is compared.
+    for (int version : {1, 2}) {
+        std::string header = makeSpec().serialize();
+        header[0] = static_cast<char>(version);  // little-endian u64
+        std::string image = "AXHJNL1\n" + frameByHand(header);
+        std::string want =
+            "unsupported header version " + std::to_string(version);
+        try {
+            parseJournal(image);
+            ADD_FAILURE() << "version-" << version << " header accepted";
+        } catch (const JournalError& e) {
+            EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+                << e.what();
+        }
     }
 }
 

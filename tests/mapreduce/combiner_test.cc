@@ -80,8 +80,9 @@ TEST(CombinerJobTest, CombinerPreservesPreciseResultAndCutsShuffle)
         config.speculation = false;
         Job job(cluster, ds, nn, config);
         job.setMapperFactory([] { return std::make_unique<WordMapper>(); });
-        job.setReducerFactory(
-            [] { return std::make_unique<SumReducer>(); });
+        job.setReducerFactory([] {
+            return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+        });
         if (combine) {
             job.setCombiner(std::make_shared<SumCombiner>());
         }

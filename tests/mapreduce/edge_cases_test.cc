@@ -51,7 +51,9 @@ TEST(JobEdgeCasesTest, SingleBlockSingleItem)
     hdfs::InMemoryDataset ds({{"only"}});
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<EchoMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     JobResult result = job.run();
     ASSERT_EQ(result.output.size(), 1u);
     EXPECT_EQ(result.output[0].key, "only");
@@ -65,7 +67,9 @@ TEST(JobEdgeCasesTest, MapperEmittingNothingStillCompletes)
     hdfs::InMemoryDataset ds(std::vector<std::string>(50, "x"), 10);
     Job job(cluster, ds, nn, fastConfig(3));
     job.setMapperFactory([] { return std::make_unique<SilentMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     JobResult result = job.run();
     EXPECT_TRUE(result.output.empty());
     EXPECT_EQ(result.counters.maps_completed, 5u);
@@ -82,7 +86,9 @@ TEST(JobEdgeCasesTest, MoreReducersThanSlotsThrows)
     hdfs::InMemoryDataset ds({{"a"}});
     Job job(cluster, ds, nn, fastConfig(5));
     job.setMapperFactory([] { return std::make_unique<EchoMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     EXPECT_THROW(job.run(), std::runtime_error);
 }
 
@@ -106,7 +112,9 @@ TEST(JobEdgeCasesTest, DropEverythingBeforeStart)
     OverDropController controller;
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<EchoMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     JobResult result = job.run();
     EXPECT_EQ(controller.dropped, 6u);
@@ -145,7 +153,9 @@ TEST(JobEdgeCasesTest, HoldAndReleaseRunsEverything)
     HoldReleaseController controller;
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<EchoMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     JobResult result = job.run();
     EXPECT_EQ(result.counters.maps_completed, 8u);
@@ -181,7 +191,9 @@ TEST(JobEdgeCasesTest, KillWhileSpeculatingReleasesAllSlots)
     KillDuringSpeculationController controller;
     Job job(cluster, ds, nn, config);
     job.setMapperFactory([] { return std::make_unique<EchoMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     JobResult result = job.run();
 
@@ -209,7 +221,9 @@ TEST(JobEdgeCasesTest, BigJobManyWavesCompletes)
                               [](uint64_t, uint64_t) { return "x"; });
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<EchoMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     JobResult result = job.run();
     EXPECT_EQ(result.counters.maps_completed, 2000u);
     EXPECT_EQ(result.counters.waves, 250);
@@ -230,8 +244,9 @@ TEST(JobEdgeCasesTest, EnergyNeverNegativeAndMonotoneWithWork)
         config.speculation = false;
         Job job(cluster, ds, nn, config);
         job.setMapperFactory([] { return std::make_unique<EchoMapper>(); });
-        job.setReducerFactory(
-            [] { return std::make_unique<SumReducer>(); });
+        job.setReducerFactory([] {
+            return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+        });
         return job.run().energy_wh;
     };
     double small = run_blocks(10);

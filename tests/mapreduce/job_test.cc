@@ -74,7 +74,9 @@ TEST(JobTest, PreciseWordCountIsExact)
     auto ds = smallDataset();
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<IdentityMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     JobResult result = job.run();
 
     EXPECT_EQ(result.counters.maps_total, 12u);
@@ -99,7 +101,9 @@ TEST(JobTest, EveryTaskExecutesExactlyOnce)
     job.setMapperFactory([&] {
         return std::make_unique<TaskTrackingMapper>(&executed);
     });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.run();
     EXPECT_EQ(executed.size(), 12u);
 }
@@ -116,7 +120,9 @@ TEST(JobTest, MultipleWavesWhenTasksExceedSlots)
     auto ds = smallDataset();
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<IdentityMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     JobResult result = job.run();
     EXPECT_EQ(result.counters.waves, 2);
     // Two sequential waves: runtime at least twice one map duration.
@@ -135,8 +141,9 @@ TEST(JobTest, RuntimeScalesWithWaves)
         Job job(cluster, ds, nn, fastConfig());
         job.setMapperFactory(
             [] { return std::make_unique<IdentityMapper>(); });
-        job.setReducerFactory(
-            [] { return std::make_unique<SumReducer>(); });
+        job.setReducerFactory([] {
+            return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+        });
         return job.run().runtime;
     };
     // 6 total slots: two waves. 24 total slots: one wave. The two-wave
@@ -151,7 +158,9 @@ TEST(JobTest, LocalityPreferred)
     auto ds = smallDataset();
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<IdentityMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     JobResult result = job.run();
     // With 12 tasks, 80 slots, and replication 3 on 10 servers, most
     // tasks should run local.
@@ -170,8 +179,9 @@ TEST(JobTest, ResultIsIndependentOfClusterShape)
         Job job(cluster, ds, nn, fastConfig());
         job.setMapperFactory(
             [] { return std::make_unique<IdentityMapper>(); });
-        job.setReducerFactory(
-            [] { return std::make_unique<SumReducer>(); });
+        job.setReducerFactory([] {
+            return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+        });
         return job.run();
     };
     auto a = run_on(2).toMap();
@@ -189,7 +199,9 @@ TEST(JobTest, RunTwiceThrows)
     auto ds = smallDataset();
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<IdentityMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.run();
     EXPECT_THROW(job.run(), std::logic_error);
 }
@@ -230,7 +242,9 @@ TEST(JobTest, DroppedMapsDoNotExecute)
     job.setMapperFactory([&] {
         return std::make_unique<TaskTrackingMapper>(&executed);
     });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     JobResult result = job.run();
     EXPECT_EQ(result.counters.maps_dropped, 5u);
@@ -267,7 +281,9 @@ TEST(JobTest, DropAllRemainingStillCompletesJob)
     DropAllController controller;
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<IdentityMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     JobResult result = job.run();
     EXPECT_EQ(result.counters.maps_completed, 1u);
@@ -308,7 +324,9 @@ TEST(JobTest, SamplingRatioReachesTasksButTextFormatIgnoresIt)
     RatioProbeController controller;
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<IdentityMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     JobResult result = job.run();
     // TextInputFormat processes everything regardless of the ratio.
@@ -337,7 +355,9 @@ TEST(JobTest, WaveCompletionCallbackFires)
     WaveCounter controller;
     Job job(cluster, ds, nn, fastConfig());
     job.setMapperFactory([] { return std::make_unique<IdentityMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     job.setController(&controller);
     job.run();
     ASSERT_EQ(controller.waves.size(), 2u);

@@ -85,7 +85,9 @@ runJob(RunSpec spec)
     auto ds = dataset(spec.blocks);
     Job job(cluster, ds, nn, spec.config);
     job.setMapperFactory([] { return std::make_unique<OneMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     if (spec.controller != nullptr) {
         job.setController(spec.controller);
     }

@@ -1,5 +1,10 @@
 #include "mapreduce/reducer.h"
 
+#include <bit>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace approxhadoop::mr {
@@ -18,7 +23,7 @@ chunk(uint64_t task, std::vector<KeyValue> records)
 
 TEST(SumReducerTest, SumsPerKey)
 {
-    SumReducer r;
+    PreciseReducer r(PreciseReducer::Op::kSum);
     r.consume(chunk(0, {{"a", 1.0, 0, 0, 0}, {"b", 2.0, 0, 0, 0}}));
     r.consume(chunk(1, {{"a", 3.0, 0, 0, 0}}));
     ReduceContext ctx(2, 20);
@@ -31,40 +36,120 @@ TEST(SumReducerTest, SumsPerKey)
     EXPECT_FALSE(ctx.output()[0].has_bound);
 }
 
-TEST(CountReducerTest, CountsRecords)
-{
-    CountReducer r;
-    r.consume(chunk(0, {{"x", 5.0, 0, 0, 0}, {"x", 7.0, 0, 0, 0}}));
-    ReduceContext ctx(1, 10);
-    r.finalize(ctx);
-    ASSERT_EQ(ctx.output().size(), 1u);
-    EXPECT_DOUBLE_EQ(ctx.output()[0].value, 2.0);
-}
-
 TEST(AverageReducerTest, Averages)
 {
-    AverageReducer r;
+    PreciseReducer r(PreciseReducer::Op::kAverage);
     r.consume(chunk(0, {{"x", 2.0, 0, 0, 0}, {"x", 4.0, 0, 0, 0}}));
     ReduceContext ctx(1, 10);
     r.finalize(ctx);
     EXPECT_DOUBLE_EQ(ctx.output()[0].value, 3.0);
 }
 
-TEST(MinMaxReducerTest, Extremes)
+TEST(MinReducerTest, Extremes)
 {
-    MinReducer mn;
-    MaxReducer mx;
-    auto c = chunk(0, {{"x", 5.0, 0, 0, 0},
-                       {"x", -2.0, 0, 0, 0},
-                       {"x", 9.0, 0, 0, 0}});
-    mn.consume(c);
-    mx.consume(c);
-    ReduceContext ctx1(1, 10);
-    ReduceContext ctx2(1, 10);
-    mn.finalize(ctx1);
-    mx.finalize(ctx2);
-    EXPECT_DOUBLE_EQ(ctx1.output()[0].value, -2.0);
-    EXPECT_DOUBLE_EQ(ctx2.output()[0].value, 9.0);
+    PreciseReducer r(PreciseReducer::Op::kMin);
+    r.consume(chunk(0, {{"x", 5.0, 0, 0, 0},
+                        {"x", -2.0, 0, 0, 0},
+                        {"x", 9.0, 0, 0, 0}}));
+    ReduceContext ctx(1, 10);
+    r.finalize(ctx);
+    EXPECT_DOUBLE_EQ(ctx.output()[0].value, -2.0);
+}
+
+TEST(PreciseReducerTest, SumFoldsInDeliveryOrder)
+{
+    // 1e16 + 1.0 rounds back to 1e16, so only the delivery order
+    // (1e16, 1.0, -1e16) yields exactly 0.0; any regrouping of the
+    // values would leave a nonzero sum.
+    PreciseReducer r(PreciseReducer::Op::kSum);
+    r.consume(chunk(0, {{"a", 1e16, 0, 0, 0}}));
+    r.consume(chunk(1, {{"a", 1.0, 0, 0, 0}}));
+    r.consume(chunk(2, {{"a", -1e16, 0, 0, 0}}));
+    ReduceContext ctx(3, 30);
+    r.finalize(ctx);
+    ASSERT_EQ(ctx.output().size(), 1u);
+    EXPECT_EQ(ctx.output()[0].value, 0.0);
+}
+
+TEST(PreciseReducerTest, CheckpointSizeIsPerKeyNotPerRecord)
+{
+    auto fed = [](uint64_t records) {
+        PreciseReducer r(PreciseReducer::Op::kSum);
+        for (uint64_t i = 0; i < records; ++i) {
+            std::string key(1, static_cast<char>('a' + i % 3));
+            r.consume(chunk(i, {{key, 1.0, 0, 0, 0}}));
+        }
+        std::string blob;
+        EXPECT_TRUE(r.checkpoint(blob));
+        return blob.size();
+    };
+    EXPECT_EQ(fed(3), fed(10000));
+}
+
+/** Non-integer values whose sums depend on the order they are added. */
+std::vector<MapOutputChunk>
+stream()
+{
+    std::vector<MapOutputChunk> chunks;
+    for (uint64_t t = 0; t < 12; ++t) {
+        std::vector<KeyValue> recs;
+        for (uint64_t i = 0; i < 7; ++i) {
+            double v = 0.1 * static_cast<double>((t * 7 + i) % 11) - 0.37 +
+                       1e-3 * static_cast<double>(t * t);
+            recs.push_back({"k" + std::to_string((t + i) % 4), v, 0, 0, 0});
+        }
+        chunks.push_back(chunk(t, std::move(recs)));
+    }
+    return chunks;
+}
+
+TEST(PreciseReducerTest, MidStreamRestoreContinuesBitIdentically)
+{
+    for (PreciseReducer::Op op :
+         {PreciseReducer::Op::kSum, PreciseReducer::Op::kAverage,
+          PreciseReducer::Op::kMin}) {
+        std::vector<MapOutputChunk> chunks = stream();
+        PreciseReducer whole(op);
+        for (const MapOutputChunk& c : chunks) {
+            whole.consume(c);
+        }
+
+        PreciseReducer first(op);
+        for (size_t i = 0; i < 5; ++i) {
+            first.consume(chunks[i]);
+        }
+        std::string blob;
+        ASSERT_TRUE(first.checkpoint(blob));
+        PreciseReducer resumed(op);
+        ASSERT_TRUE(resumed.restore(blob));
+        for (size_t i = 5; i < chunks.size(); ++i) {
+            resumed.consume(chunks[i]);
+        }
+
+        ReduceContext want(12, 120);
+        ReduceContext got(12, 120);
+        whole.finalize(want);
+        resumed.finalize(got);
+        ASSERT_EQ(want.output().size(), 4u);
+        ASSERT_EQ(got.output().size(), want.output().size());
+        for (size_t k = 0; k < want.output().size(); ++k) {
+            EXPECT_EQ(got.output()[k].key, want.output()[k].key);
+            EXPECT_EQ(std::bit_cast<uint64_t>(got.output()[k].value),
+                      std::bit_cast<uint64_t>(want.output()[k].value))
+                << want.output()[k].key;
+        }
+    }
+}
+
+TEST(PreciseReducerTest, TruncatedCheckpointThrows)
+{
+    PreciseReducer r(PreciseReducer::Op::kAverage);
+    r.consume(chunk(0, {{"a", 1.5, 0, 0, 0}, {"b", 2.5, 0, 0, 0}}));
+    std::string blob;
+    ASSERT_TRUE(r.checkpoint(blob));
+    PreciseReducer fresh(PreciseReducer::Op::kAverage);
+    EXPECT_THROW(fresh.restore(blob.substr(0, blob.size() - 1)),
+                 std::runtime_error);
 }
 
 TEST(ReduceContextTest, BoundedWrite)

@@ -56,7 +56,9 @@ runJob(bool speculation, uint64_t* speculated = nullptr,
     auto ds = dataset();
     Job job(cluster, ds, nn, stragglerConfig(speculation));
     job.setMapperFactory([] { return std::make_unique<OneMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     JobResult result = job.run();
     if (speculated != nullptr) {
         *speculated = result.counters.maps_speculated;
@@ -109,7 +111,9 @@ TEST(SpeculationTest, NoSpeculationWhilePendingTasksExist)
     auto ds = dataset();
     Job job(cluster, ds, nn, stragglerConfig(true));
     job.setMapperFactory([] { return std::make_unique<OneMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     JobResult result = job.run();
     EXPECT_EQ(result.counters.maps_speculated, 0u);
 }

@@ -44,7 +44,9 @@ runSmall(uint32_t servers, int slots, uint64_t blocks)
     config.speculation = false;
     Job job(cluster, ds, nn, config);
     job.setMapperFactory([] { return std::make_unique<OneMapper>(); });
-    job.setReducerFactory([] { return std::make_unique<SumReducer>(); });
+    job.setReducerFactory([] {
+        return std::make_unique<PreciseReducer>(PreciseReducer::Op::kSum);
+    });
     return job.run();
 }
 
