@@ -1,5 +1,6 @@
 #include "integrity/checksum.h"
 
+#include <bit>
 #include <cstring>
 
 namespace approxhadoop::integrity {
@@ -22,6 +23,11 @@ rotl(uint64_t v, int bits)
 inline uint64_t
 readLE64(const unsigned char* p)
 {
+    if constexpr (std::endian::native == std::endian::little) {
+        uint64_t v;
+        std::memcpy(&v, p, sizeof(v));
+        return v;
+    }
     uint64_t v = 0;
     for (int i = 7; i >= 0; --i) {
         v = (v << 8) | p[i];
@@ -112,28 +118,6 @@ Hasher64::update(uint64_t v)
         bytes[i] = static_cast<unsigned char>(v >> (8 * i));
     }
     update(bytes, sizeof(bytes));
-}
-
-void
-Hasher64::update(double v)
-{
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    update(bits);
-}
-
-void
-Hasher64::update(const std::string& s)
-{
-    update(std::string_view(s));
-}
-
-void
-Hasher64::update(std::string_view s)
-{
-    update(static_cast<uint64_t>(s.size()));
-    update(s.data(), s.size());
 }
 
 uint64_t

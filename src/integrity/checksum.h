@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 
 namespace approxhadoop::integrity {
 
@@ -28,15 +26,6 @@ class Hasher64
 
     /** Feeds one u64 as 8 little-endian bytes. */
     void update(uint64_t v);
-
-    /** Feeds one double as its IEEE-754 bit pattern (bit-exact). */
-    void update(double v);
-
-    /** Feeds a length-prefixed string (unambiguous concatenation). */
-    void update(const std::string& s);
-
-    /** Same digest as the string overload, without materializing one. */
-    void update(std::string_view s);
 
     /** Digest of everything fed so far; does not reset the state. */
     uint64_t digest() const;

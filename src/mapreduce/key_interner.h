@@ -9,18 +9,19 @@
 namespace approxhadoop::mr {
 
 /**
- * Per-task intermediate-key interning table.
+ * Intermediate-key interning table.
  *
  * Maps each distinct key string to a dense id (0, 1, 2, ... in first-seen
- * order) through an open-addressing hash table, so the hot map-side path
- * — grouping for the combiner, partition lookup, per-key accounting —
- * works on integer ids instead of re-hashing and re-comparing
- * std::strings per record. Ids are stable for the table's lifetime; the
- * interned key strings are owned by the table.
+ * order) through an open-addressing hash table, so per-record key work —
+ * map-side grouping for the combiner and partition lookup, reduce-side
+ * per-key accumulation — runs on integer ids instead of re-hashing and
+ * re-comparing std::strings. Ids are stable for the table's lifetime;
+ * the interned key strings are owned by the table.
  *
  * Uses the same FNV-1a hash as HashPartitioner so behavior is platform-
- * stable, with linear probing and growth at 70% load. Not thread-safe;
- * one instance lives inside each MapContext (one per map task).
+ * stable, with linear probing and growth at 70% load. Not thread-safe:
+ * Job::computeMapOutput builds one per map task, and only when the job
+ * combines or partitions; each PreciseReducer owns one for its partition.
  */
 class KeyInterner
 {

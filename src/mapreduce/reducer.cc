@@ -1,6 +1,7 @@
 #include "mapreduce/reducer.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "integrity/blob.h"
 
@@ -10,7 +11,11 @@ void
 PreciseReducer::consume(const MapOutputChunk& chunk)
 {
     for (const KeyValue& kv : chunk.records) {
-        Acc& acc = acc_[kv.key];
+        uint32_t id = keys_.intern(kv.key);
+        if (id == acc_.size()) {
+            acc_.emplace_back();
+        }
+        Acc& acc = acc_[id];
         if (op_ == Op::kMin) {
             acc.value = acc.n == 0 ? kv.value : std::min(acc.value, kv.value);
         } else {
@@ -20,13 +25,25 @@ PreciseReducer::consume(const MapOutputChunk& chunk)
     }
 }
 
+std::vector<uint32_t>
+PreciseReducer::sortedIds() const
+{
+    std::vector<uint32_t> ids(acc_.size());
+    std::iota(ids.begin(), ids.end(), 0);
+    std::sort(ids.begin(), ids.end(), [this](uint32_t a, uint32_t b) {
+        return keys_.key(a) < keys_.key(b);
+    });
+    return ids;
+}
+
 void
 PreciseReducer::finalize(ReduceContext& ctx)
 {
-    for (const auto& [key, acc] : acc_) {
-        ctx.write(key, op_ == Op::kAverage
-                           ? acc.value / static_cast<double>(acc.n)
-                           : acc.value);
+    for (uint32_t id : sortedIds()) {
+        const Acc& acc = acc_[id];
+        ctx.write(keys_.key(id), op_ == Op::kAverage
+                                     ? acc.value / static_cast<double>(acc.n)
+                                     : acc.value);
     }
 }
 
@@ -35,10 +52,10 @@ PreciseReducer::checkpoint(std::string& state) const
 {
     integrity::BlobWriter w;
     w.putU64(acc_.size());
-    for (const auto& [key, acc] : acc_) {
-        w.putString(key);
-        w.putDouble(acc.value);
-        w.putU64(acc.n);
+    for (uint32_t id : sortedIds()) {
+        w.putString(keys_.key(id));
+        w.putDouble(acc_[id].value);
+        w.putU64(acc_[id].n);
     }
     state = w.release();
     return true;
@@ -48,15 +65,17 @@ bool
 PreciseReducer::restore(const std::string& state)
 {
     integrity::BlobReader r(state);
-    std::map<std::string, Acc> acc;
+    KeyInterner keys;
+    std::vector<Acc> acc;
     uint64_t num_keys = r.getU64();
     for (uint64_t k = 0; k < num_keys; ++k) {
-        std::string key = r.getString();
-        Acc& a = acc[std::move(key)];
-        a.value = r.getDouble();
-        a.n = r.getU64();
+        uint32_t id = keys.intern(r.getString());
+        acc.resize(keys.size());
+        acc[id].value = r.getDouble();
+        acc[id].n = r.getU64();
     }
     r.expectEnd();
+    keys_ = std::move(keys);
     acc_ = std::move(acc);
     return true;
 }

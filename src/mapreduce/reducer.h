@@ -2,10 +2,10 @@
 #define APPROXHADOOP_MAPREDUCE_REDUCER_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "mapreduce/key_interner.h"
 #include "mapreduce/types.h"
 
 namespace approxhadoop::mr {
@@ -139,8 +139,10 @@ class Reducer
  * Precise per-key reducer, the analogue of stock Hadoop's per-key
  * reduce (e.g. LongSumReducer): each record is folded into its key's
  * accumulator as it is delivered, so state and checkpoints are
- * O(distinct keys) rather than O(records). finalize() writes one record
- * per key, sorted by key.
+ * O(distinct keys) rather than O(records). Accumulators are indexed by
+ * the key's interned id, so consume() costs one hash probe per record;
+ * finalize() and checkpoint() walk the keys in sorted (key string)
+ * order, so output and blobs do not depend on first-seen order.
  */
 class PreciseReducer : public Reducer
 {
@@ -171,8 +173,13 @@ class PreciseReducer : public Reducer
         uint64_t n = 0;
     };
 
+    /** Interned key ids ordered by key string. */
+    std::vector<uint32_t> sortedIds() const;
+
     Op op_;
-    std::map<std::string, Acc> acc_;
+    KeyInterner keys_;
+    /** Accumulator per interned key id. */
+    std::vector<Acc> acc_;
 };
 
 }  // namespace approxhadoop::mr

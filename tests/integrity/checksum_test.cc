@@ -212,6 +212,33 @@ TEST(IntegrityChunkTest, AnyFieldMutationBreaksVerification)
     EXPECT_FALSE(mutate([](auto& c) { c.records.pop_back(); }));
 }
 
+TEST(IntegrityChunkTest, DigestIsPinned)
+{
+    // Golden digest of a fixed chunk. The record stream is 5 metadata
+    // u64s, then per record the key length, the key bytes and four
+    // doubles, all little-endian; the records below are 33-77 bytes
+    // each, so fields straddle XXH64's 32-byte stripes at varying
+    // offsets. Any change to the serialized layout moves this constant.
+    mr::MapOutputChunk chunk;
+    chunk.map_task = 29;
+    chunk.items_total = 1000;
+    chunk.items_processed = 977;
+    chunk.records_skipped = 23;
+    chunk.records.push_back({"", 1.0, 2.0, 0.0, 0.0});
+    chunk.records.push_back(
+        {"a-key-longer-than-one-32-byte-stripe-of-xxh64", -0.0, 0.5, 3.0,
+         4.0});
+    chunk.records.push_back({"x", 0.1, -0.0, 1e300, -1e-300});
+    chunk.records.push_back({"en.wikipedia", 12345.0, 0.0, 0.0, 0.0});
+    chunk.records.push_back({std::string("nul\0in", 6), -7.25, 8.0, 9.0,
+                             10.0});
+    EXPECT_EQ(chunkChecksum(chunk), 0xC4923B90E18A1BABULL);
+    mr::MapOutputChunk empty;
+    empty.map_task = 4;
+    empty.records_skipped = 1;
+    EXPECT_EQ(chunkChecksum(empty), 0xAFD4BBAB8F666088ULL);
+}
+
 TEST(IntegrityChunkTest, InjectedCorruptionIsAlwaysDetected)
 {
     mr::MapOutputChunk chunk = sampleChunk();

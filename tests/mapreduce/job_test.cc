@@ -1,12 +1,20 @@
 #include "mapreduce/job.h"
 
+#include <map>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "apps/aggregation_registry.h"
+#include "core/approx_config.h"
+#include "core/approx_job.h"
 #include "hdfs/dataset.h"
 #include "hdfs/namenode.h"
+#include "integrity/checksum.h"
+#include "obs/report.h"
 #include "sim/cluster.h"
 
 namespace approxhadoop::mr {
@@ -363,6 +371,65 @@ TEST(JobTest, WaveCompletionCallbackFires)
     ASSERT_EQ(controller.waves.size(), 2u);
     EXPECT_EQ(controller.waves[0], 0);
     EXPECT_EQ(controller.waves[1], 1);
+}
+
+TEST(JobTest, PreciseProjectPopSameKeysAndValuesAtOneAndThreeReducers)
+{
+    // With one reducer the task output becomes the chunk wholesale; with
+    // three, keys are interned and partitioned. Each key still lands in
+    // exactly one partition and is folded in the same delivery order.
+    const apps::AggregationWorkload* w =
+        apps::findAggregationWorkload("projectpop");
+    ASSERT_NE(w, nullptr);
+    auto data = w->make_dataset(24, 60, 4);
+    auto run = [&](uint32_t reducers) {
+        JobResult result = apps::runPreciseReference(
+            *w, *data, w->job_config(60, reducers),
+            sim::ClusterConfig::xeon10(), 8);
+        std::map<std::string, double> values;
+        for (const OutputRecord& rec : result.output) {
+            EXPECT_TRUE(values.emplace(rec.key, rec.value).second)
+                << "key " << rec.key << " emitted twice";
+        }
+        return values;
+    };
+    std::map<std::string, double> one = run(1);
+    EXPECT_GT(one.size(), 10u);
+    EXPECT_EQ(one, run(3));
+}
+
+TEST(JobTest, MomentsCombinerReportAtTwoReducersIsPinned)
+{
+    // Golden XXH64 of the JSON report (minus its "wall_" lines) of a
+    // sampled, dropped projectpop job whose map side combines and
+    // partitions on interned key ids.
+    const apps::AggregationWorkload* w =
+        apps::findAggregationWorkload("projectpop");
+    ASSERT_NE(w, nullptr);
+    auto data = w->make_dataset(24, 60, 4);
+    sim::Cluster cluster(sim::ClusterConfig::xeon10());
+    hdfs::NameNode nn(cluster.numServers(), 3, 8);
+    core::ApproxJobRunner runner(cluster, *data, nn);
+    core::ApproxConfig approx;
+    approx.sampling_ratio = 0.5;
+    approx.drop_ratio = 0.25;
+    JobConfig config = w->job_config(60, 2);
+    config.seed = 8;
+    JobResult result = runner.runAggregation(
+        config, approx, w->mapper_factory(), w->op, /*combine=*/true);
+    EXPECT_GT(result.counters.records_shuffled, 0u);
+    std::istringstream json(
+        obs::JobReport::build("projectpop", config, result, nullptr)
+            .toJson());
+    std::string stable;
+    for (std::string line; std::getline(json, line);) {
+        if (line.find("\"wall_") == std::string::npos) {
+            stable += line;
+            stable += '\n';
+        }
+    }
+    EXPECT_EQ(integrity::hash64(stable.data(), stable.size()),
+              0x6C91702523D67EA0ULL);
 }
 
 }  // namespace

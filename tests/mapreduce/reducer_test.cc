@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "integrity/checksum.h"
+
 namespace approxhadoop::mr {
 namespace {
 
@@ -150,6 +152,37 @@ TEST(PreciseReducerTest, TruncatedCheckpointThrows)
     PreciseReducer fresh(PreciseReducer::Op::kAverage);
     EXPECT_THROW(fresh.restore(blob.substr(0, blob.size() - 1)),
                  std::runtime_error);
+}
+
+TEST(PreciseReducerTest, CheckpointBlobIsPinned)
+{
+    // Golden XXH64 of checkpoint blobs: keys are serialized in key
+    // order whatever the delivery order, and a restored reducer that
+    // learns a key sorting between two known ones places it in order.
+    PreciseReducer r(PreciseReducer::Op::kAverage);
+    r.consume(chunk(0, {{"b", 1.25, 0, 0, 0}, {"a", -0.5, 0, 0, 0}}));
+    r.consume(chunk(1, {{"c", 3.0, 0, 0, 0}, {"b", 0.1, 0, 0, 0}}));
+    std::string blob;
+    ASSERT_TRUE(r.checkpoint(blob));
+    EXPECT_EQ(integrity::hash64(blob.data(), blob.size()),
+              0x08EC679C25B60D8DULL);
+
+    PreciseReducer resumed(PreciseReducer::Op::kAverage);
+    ASSERT_TRUE(resumed.restore(blob));
+    resumed.consume(chunk(2, {{"bb", 7.0, 0, 0, 0}, {"a", 2.0, 0, 0, 0}}));
+    std::string blob2;
+    ASSERT_TRUE(resumed.checkpoint(blob2));
+    EXPECT_EQ(integrity::hash64(blob2.data(), blob2.size()),
+              0xDADC9848C8C3B90FULL);
+
+    ReduceContext ctx(3, 30);
+    resumed.finalize(ctx);
+    std::vector<std::string> keys;
+    for (const OutputRecord& rec : ctx.output()) {
+        keys.push_back(rec.key);
+    }
+    EXPECT_EQ(keys, (std::vector<std::string>{"a", "b", "bb", "c"}));
+    EXPECT_EQ(ctx.output()[0].value, 0.75);
 }
 
 TEST(ReduceContextTest, BoundedWrite)
