@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/text.h"
 #include "obs/json.h"
 
 namespace approxhadoop::benchutil {
@@ -80,19 +81,12 @@ printTitle(const char* artifact, const char* description)
 inline std::optional<int>
 parseReps(const char* text)
 {
-    if (text == nullptr || *text == '\0') {
+    std::optional<uint64_t> reps =
+        text == nullptr ? std::nullopt : parseUint64(text);
+    if (!reps || *reps < 1 || *reps > 1000000) {
         return std::nullopt;
     }
-    errno = 0;
-    char* end = nullptr;
-    long reps = std::strtol(text, &end, 10);
-    if (errno == ERANGE || end == text || *end != '\0') {
-        return std::nullopt;
-    }
-    if (reps < 1 || reps > 1000000) {
-        return std::nullopt;
-    }
-    return static_cast<int>(reps);
+    return static_cast<int>(*reps);
 }
 
 /**
@@ -167,21 +161,13 @@ class BenchReport
     /** Writes the report; returns false (with a message) on I/O error. */
     bool write(const std::string& path) const
     {
-        std::FILE* f = std::fopen(path.c_str(), "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        if (!writeFile(path, toJson() + "\n")) {
+            std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                         std::strerror(errno));
             return false;
         }
-        std::string json = toJson();
-        json.push_back('\n');
-        size_t written = std::fwrite(json.data(), 1, json.size(), f);
-        bool ok = written == json.size() && std::fclose(f) == 0;
-        if (ok) {
-            std::printf("\nwrote %s\n", path.c_str());
-        } else {
-            std::fprintf(stderr, "short write to %s\n", path.c_str());
-        }
-        return ok;
+        std::printf("\nwrote %s\n", path.c_str());
+        return true;
     }
 
     int reps() const { return reps_; }

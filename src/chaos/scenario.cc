@@ -1,36 +1,11 @@
 #include "chaos/scenario.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/random.h"
+#include "common/text.h"
 
 namespace approxhadoop::chaos {
-
-namespace {
-
-/** Shortest decimal form that strtod() reads back bit-identically;
- *  integral values print without an exponent (500, not 5e+02). */
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v) {
-            break;
-        }
-    }
-    return buf;
-}
-
-}  // namespace
 
 std::string
 Scenario::describe() const
@@ -48,7 +23,7 @@ Scenario::describe() const
                   static_cast<unsigned long long>(blocks),
                   static_cast<unsigned long long>(items), reducers, threads,
                   static_cast<unsigned long long>(job_seed), sampling,
-                  has_target ? (" target=" + formatDouble(target)).c_str()
+                  has_target ? (" target=" + formatSpecNumber(target)).c_str()
                              : "",
                   jobs_dim.c_str(), fleet_dim.c_str(), ft::toString(mode),
                   max_attempts, plan.summary().c_str());
@@ -68,16 +43,16 @@ Scenario::approxrunCommand() const
         cmd += " --cluster " + cluster;
     }
     if (has_target) {
-        cmd += " --target " + formatDouble(target);
+        cmd += " --target " + formatSpecNumber(target);
     } else if (sampling < 1.0) {
-        cmd += " --sampling " + formatDouble(sampling);
+        cmd += " --sampling " + formatSpecNumber(sampling);
     }
     cmd += " --failure-mode ";
     cmd += ft::toString(mode);
     cmd += " --max-attempts " + std::to_string(max_attempts);
     cmd += " --checkpoint-interval " + std::to_string(checkpoint_interval);
-    cmd += " --heartbeat-interval " + formatDouble(heartbeat_ms);
-    cmd += " --task-timeout " + formatDouble(timeout_ms);
+    cmd += " --heartbeat-interval " + formatSpecNumber(heartbeat_ms);
+    cmd += " --task-timeout " + formatSpecNumber(timeout_ms);
     std::string spec = plan.spec();
     if (!spec.empty()) {
         cmd += " --fault-plan \"" + spec + "\"";

@@ -1,58 +1,34 @@
 #include "ft/fault_plan.h"
 
 #include <cctype>
-#include <cerrno>
-#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <set>
 #include <stdexcept>
+
+#include "common/text.h"
 
 namespace approxhadoop::ft {
 
 namespace {
 
-/** Splits @p s on @p sep (no empty trailing fields). */
-std::vector<std::string>
-split(const std::string& s, char sep)
-{
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= s.size()) {
-        size_t end = s.find(sep, start);
-        if (end == std::string::npos) {
-            parts.push_back(s.substr(start));
-            break;
-        }
-        parts.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return parts;
-}
-
 double
-parseDouble(const std::string& token, const char* what)
+parseNumber(const std::string& token, const std::string& what)
 {
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-        throw std::invalid_argument(std::string("fault plan: bad ") + what +
-                                    " '" + token + "'");
+    std::optional<double> v = parseDouble(token);
+    if (!v) {
+        throw std::invalid_argument("fault plan: bad " + what + " '" +
+                                    token +
+                                    "' (want a finite decimal number)");
     }
-    if (!std::isfinite(v)) {
-        throw std::invalid_argument(std::string("fault plan: ") + what +
-                                    " '" + token + "' must be finite");
-    }
-    return v;
+    return *v;
 }
 
 double
 parseProbability(const std::string& token, const char* what)
 {
-    double p = parseDouble(token, what);
-    // Written as a negated range check so NaN (every comparison false)
-    // cannot slip through.
+    double p = parseNumber(token, what);
     if (!(p >= 0.0 && p <= 1.0)) {
         throw std::invalid_argument(std::string("fault plan: ") + what +
                                     " must be in [0, 1], got '" + token +
@@ -64,67 +40,39 @@ parseProbability(const std::string& token, const char* what)
 uint32_t
 parseCount(const std::string& token, const char* what)
 {
-    if (token.empty() || token.find_first_not_of("0123456789") !=
-                             std::string::npos) {
-        throw std::invalid_argument(std::string("fault plan: bad ") +
-                                    what + " '" + token +
-                                    "' (want a positive integer)");
-    }
-    errno = 0;
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-    if (errno == ERANGE || end != token.c_str() + token.size() ||
-        v == 0 || v > 100000) {
+    std::optional<uint64_t> v = parseUint64(token);
+    if (!v || *v == 0 || *v > 100000) {
         throw std::invalid_argument(std::string("fault plan: ") + what +
                                     " '" + token +
-                                    "' must be in [1, 100000]");
+                                    "' must be an integer in [1, 100000]");
     }
-    return static_cast<uint32_t>(v);
+    return static_cast<uint32_t>(*v);
 }
 
 /** Parses the shared "T[+D]" time-and-optional-duration tail. */
 void
-parseWhen(const std::string& when_spec, const char* what, double& at,
-          double* down_for)
+parseWhen(const std::string& when_spec, const std::string& what,
+          double& at, double* down_for)
 {
     std::string when = when_spec;
     size_t plus = when.find('+');
     if (plus != std::string::npos) {
         if (down_for == nullptr) {
-            throw std::invalid_argument(std::string("fault plan: ") +
-                                        what + " takes no +D duration");
+            throw std::invalid_argument("fault plan: " + what +
+                                        " takes no +D duration");
         }
-        *down_for = parseDouble(when.substr(plus + 1),
-                                (std::string(what) + " duration").c_str());
+        *down_for = parseNumber(when.substr(plus + 1), what + " duration");
         if (*down_for < 0.0) {
-            throw std::invalid_argument(std::string("fault plan: ") +
-                                        what + " duration must be >= 0");
+            throw std::invalid_argument("fault plan: " + what +
+                                        " duration must be >= 0");
         }
         when = when.substr(0, plus);
     }
-    at = parseDouble(when, (std::string(what) + " time").c_str());
+    at = parseNumber(when, what + " time");
     if (at < 0.0) {
-        throw std::invalid_argument(std::string("fault plan: ") + what +
+        throw std::invalid_argument("fault plan: " + what +
                                     " time must be >= 0");
     }
-}
-
-uint64_t
-parseSeed(const std::string& token)
-{
-    if (token.empty() || token.find_first_not_of("0123456789") !=
-                             std::string::npos) {
-        throw std::invalid_argument("fault plan: bad seed '" + token +
-                                    "' (want a non-negative integer)");
-    }
-    errno = 0;
-    char* end = nullptr;
-    uint64_t v = std::strtoull(token.c_str(), &end, 10);
-    if (errno == ERANGE || end != token.c_str() + token.size()) {
-        throw std::invalid_argument("fault plan: seed '" + token +
-                                    "' out of range");
-    }
-    return v;
 }
 
 }  // namespace
@@ -192,14 +140,14 @@ FaultPlan::parse(const std::string& spec)
                 parseProbability(f[0], "straggler probability");
             if (f.size() > 1) {
                 plan.straggler_factor =
-                    parseDouble(f[1], "straggler factor");
+                    parseNumber(f[1], "straggler factor");
                 if (plan.straggler_factor < 1.0) {
                     throw std::invalid_argument(
                         "fault plan: straggler factor must be >= 1");
                 }
             }
             if (f.size() > 2) {
-                plan.straggler_sigma = parseDouble(f[2], "straggler sigma");
+                plan.straggler_sigma = parseNumber(f[2], "straggler sigma");
                 if (plan.straggler_sigma < 0.0) {
                     throw std::invalid_argument(
                         "fault plan: straggler sigma must be >= 0");
@@ -211,25 +159,16 @@ FaultPlan::parse(const std::string& spec)
                 throw std::invalid_argument(
                     "fault plan: server wants ID@T[+D]");
             }
-            ServerCrash crash;
-            crash.server = static_cast<uint32_t>(
-                parseDouble(value.substr(0, at), "server id"));
-            std::string when = value.substr(at + 1);
-            size_t plus = when.find('+');
-            if (plus != std::string::npos) {
-                crash.down_for =
-                    parseDouble(when.substr(plus + 1), "server downtime");
-                if (crash.down_for < 0.0) {
-                    throw std::invalid_argument(
-                        "fault plan: server downtime must be >= 0");
-                }
-                when = when.substr(0, plus);
-            }
-            crash.at = parseDouble(when, "server crash time");
-            if (crash.at < 0.0) {
+            std::optional<uint64_t> id = parseUint64(value.substr(0, at));
+            if (!id || *id > UINT32_MAX) {
                 throw std::invalid_argument(
-                    "fault plan: server crash time must be >= 0");
+                    "fault plan: bad server id '" + value.substr(0, at) +
+                    "' (want an integer below 2^32)");
             }
+            ServerCrash crash;
+            crash.server = static_cast<uint32_t>(*id);
+            parseWhen(value.substr(at + 1), "server", crash.at,
+                      &crash.down_for);
             plan.server_crashes.push_back(crash);
         } else if (key == "revoke") {
             size_t at = value.find('@');
@@ -280,14 +219,20 @@ FaultPlan::parse(const std::string& spec)
             parseWhen(value.substr(at + 1), "drain", drain.at, nullptr);
             plan.drains.push_back(drain);
         } else if (key == "dcrash") {
-            double at = parseDouble(value, "dcrash time");
+            double at = parseNumber(value, "dcrash time");
             if (!(at > 0.0)) {
                 throw std::invalid_argument(
                     "fault plan: dcrash time must be > 0");
             }
             plan.driver_crashes.push_back(at);
         } else if (key == "seed") {
-            plan.seed = parseSeed(value);
+            std::optional<uint64_t> seed = parseUint64(value);
+            if (!seed) {
+                throw std::invalid_argument(
+                    "fault plan: bad seed '" + value +
+                    "' (want a non-negative integer)");
+            }
+            plan.seed = *seed;
         } else {
             throw std::invalid_argument("fault plan: unknown clause '" +
                                         key + "'");
@@ -295,39 +240,6 @@ FaultPlan::parse(const std::string& spec)
     }
     return plan;
 }
-
-namespace {
-
-/** Shortest decimal form that strtod() reads back bit-identically.
- *  Never uses exponent notation for representable magnitudes: a '+' in
- *  "1.5e+02" would collide with the server=ID@T+D duration separator. */
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v > -1e15 && v < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-        return buf;
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v &&
-            std::strchr(buf, 'e') == nullptr) {
-            return buf;
-        }
-    }
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-        if (std::strtod(buf, nullptr) == v) {
-            break;
-        }
-    }
-    return buf;
-}
-
-}  // namespace
 
 std::string
 FaultPlan::spec() const
@@ -340,51 +252,51 @@ FaultPlan::spec() const
         out += text;
     };
     if (task_crash_prob > 0.0) {
-        clause("crash=" + formatDouble(task_crash_prob));
+        clause("crash=" + formatSpecNumber(task_crash_prob));
     }
     if (chunk_corrupt_prob > 0.0) {
-        clause("corrupt=" + formatDouble(chunk_corrupt_prob));
+        clause("corrupt=" + formatSpecNumber(chunk_corrupt_prob));
     }
     if (bad_record_prob > 0.0) {
-        clause("badrec=" + formatDouble(bad_record_prob));
+        clause("badrec=" + formatSpecNumber(bad_record_prob));
     }
     if (reduce_crash_prob > 0.0) {
-        clause("rcrash=" + formatDouble(reduce_crash_prob));
+        clause("rcrash=" + formatSpecNumber(reduce_crash_prob));
     }
     if (straggler_prob > 0.0) {
-        std::string s = "straggler=" + formatDouble(straggler_prob) + ':' +
-                        formatDouble(straggler_factor);
+        std::string s = "straggler=" + formatSpecNumber(straggler_prob) + ':' +
+                        formatSpecNumber(straggler_factor);
         if (straggler_sigma > 0.0) {
-            s += ':' + formatDouble(straggler_sigma);
+            s += ':' + formatSpecNumber(straggler_sigma);
         }
         clause(s);
     }
     for (const ServerCrash& crash : server_crashes) {
         std::string s = "server=" + std::to_string(crash.server) + '@' +
-                        formatDouble(crash.at);
+                        formatSpecNumber(crash.at);
         if (crash.down_for >= 0.0) {
-            s += '+' + formatDouble(crash.down_for);
+            s += '+' + formatSpecNumber(crash.down_for);
         }
         clause(s);
     }
     for (const Revocation& storm : revocations) {
         std::string s = "revoke=" + std::to_string(storm.count) + '@' +
-                        formatDouble(storm.at);
+                        formatSpecNumber(storm.at);
         if (storm.down_for >= 0.0) {
-            s += '+' + formatDouble(storm.down_for);
+            s += '+' + formatSpecNumber(storm.down_for);
         }
         clause(s);
     }
     for (const ScaleOut& add : scale_outs) {
         clause("addsrv=" + std::to_string(add.count) + add.server_class +
-               '@' + formatDouble(add.at));
+               '@' + formatSpecNumber(add.at));
     }
     for (const Drain& drain : drains) {
         clause("drain=" + std::to_string(drain.count) + '@' +
-               formatDouble(drain.at));
+               formatSpecNumber(drain.at));
     }
     for (double at : driver_crashes) {
-        clause("dcrash=" + formatDouble(at));
+        clause("dcrash=" + formatSpecNumber(at));
     }
     if (seed != 0) {
         clause("seed=" + std::to_string(seed));

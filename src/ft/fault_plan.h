@@ -169,9 +169,11 @@ struct FaultPlan
      * "revoke=3@60,addsrv=4atom@90".
      *
      * Malformed specs are rejected loudly rather than silently
-     * accepted: NaN/negative/>1 probabilities, trailing garbage after a
-     * number, and duplicate keys (except `server`, `revoke`, `addsrv`,
-     * and `drain`, which may repeat) all throw.
+     * accepted: anything but a finite decimal number where one is
+     * expected (see common/text.h parseDouble), NaN/negative/>1
+     * probabilities, a server ID that is not an integer below 2^32, and
+     * duplicate keys (except `server`, `revoke`, `addsrv`, `drain` and
+     * `dcrash`, which may repeat) all throw.
      *
      * @throws std::invalid_argument on malformed input
      */

@@ -1276,11 +1276,11 @@ Job::failJob(uint64_t failing_task, const std::string& message)
     assert(!job_done_ && !job_failed_);
     job_failed_ = true;
     failure_message_ = message;
-    // Pending driver kills die with the job; see driver_crash_events_.
-    for (sim::EventQueue::EventId id : driver_crash_events_) {
+    // Pending plan events die with the job; see plan_events_.
+    for (sim::EventQueue::EventId id : plan_events_) {
         cluster_.events().cancel(id);
     }
-    driver_crash_events_.clear();
+    plan_events_.clear();
     // A suspension racing the failure resolves as not-suspended.
     cancelPendingSuspend();
     // The failing task already left the running count with every attempt
@@ -1428,9 +1428,6 @@ Job::crashOneServer(uint32_t server, double down_for, bool leave_fleet)
 void
 Job::onRevocationStorm(ft::FaultPlan::Revocation storm, size_t storm_index)
 {
-    if (job_done_ || job_failed_) {
-        return;
-    }
     std::vector<uint32_t> eligible;
     for (const sim::Server& s : cluster_.servers()) {
         if (s.state() == sim::ServerState::kActive ||
@@ -1465,9 +1462,6 @@ Job::onRevocationStorm(ft::FaultPlan::Revocation storm, size_t storm_index)
 void
 Job::onScaleOut(ft::FaultPlan::ScaleOut add)
 {
-    if (job_done_ || job_failed_) {
-        return;
-    }
     uint32_t first = cluster_.addServers(
         add.count, sim::ServerClass::byName(add.server_class, add.count));
     // Joiners hold no block replicas, so they only ever appear in the
@@ -1484,9 +1478,6 @@ Job::onScaleOut(ft::FaultPlan::ScaleOut add)
 void
 Job::onDrain(ft::FaultPlan::Drain drain)
 {
-    if (job_done_ || job_failed_) {
-        return;
-    }
     std::vector<uint32_t> eligible;  // ascending server ids
     for (const sim::Server& s : cluster_.servers()) {
         if (s.state() == sim::ServerState::kActive ||
@@ -2148,14 +2139,15 @@ Job::onReducerDone(uint32_t reducer)
     ++reducers_done_;
     if (reducers_done_ == config_.num_reducers) {
         end_time_ = cluster_.now();
+        end_energy_wh_ = cluster_.energyWattHours();
         job_done_ = true;
-        // Pending driver kills die with the job: without this, a dcrash
-        // time beyond the job's end would keep the event loop alive and
-        // accrue idle energy the uninterrupted run never sees.
-        for (sim::EventQueue::EventId id : driver_crash_events_) {
+        // Pending plan events die with the job: a crash, storm, resize
+        // or driver kill timed beyond the job's end must not act on the
+        // finished job or the cluster it leaves behind.
+        for (sim::EventQueue::EventId id : plan_events_) {
             cluster_.events().cancel(id);
         }
-        driver_crash_events_.clear();
+        plan_events_.clear();
         if (obs_ != nullptr) {
             obs_->trace.endJob(cluster_.now());
         }
@@ -2210,22 +2202,22 @@ Job::start()
                 " servers (valid ids: 0.." +
                 std::to_string(cluster_.numServers() - 1) + ")");
         }
-        cluster_.events().scheduleAfter(crash.at,
-                                        [this, crash] { onServerCrash(crash); });
+        plan_events_.push_back(cluster_.events().scheduleAfter(
+            crash.at, [this, crash] { onServerCrash(crash); }));
     }
     for (size_t i = 0; i < config_.fault_plan.revocations.size(); ++i) {
         ft::FaultPlan::Revocation storm = config_.fault_plan.revocations[i];
-        cluster_.events().scheduleAfter(
-            storm.at, [this, storm, i] { onRevocationStorm(storm, i); });
+        plan_events_.push_back(cluster_.events().scheduleAfter(
+            storm.at, [this, storm, i] { onRevocationStorm(storm, i); }));
     }
     for (const ft::FaultPlan::ScaleOut& add :
          config_.fault_plan.scale_outs) {
-        cluster_.events().scheduleAfter(add.at,
-                                        [this, add] { onScaleOut(add); });
+        plan_events_.push_back(cluster_.events().scheduleAfter(
+            add.at, [this, add] { onScaleOut(add); }));
     }
     for (const ft::FaultPlan::Drain& drain : config_.fault_plan.drains) {
-        cluster_.events().scheduleAfter(drain.at,
-                                        [this, drain] { onDrain(drain); });
+        plan_events_.push_back(cluster_.events().scheduleAfter(
+            drain.at, [this, drain] { onDrain(drain); }));
     }
     // Driver kills: the throw escapes the event loop — it is the host
     // process dying, and only a restart loop holding the journal may
@@ -2234,11 +2226,8 @@ Job::start()
     // same event ids, so a resumed schedule interleaves bit-identically
     // with the crashed one.
     for (double at : config_.fault_plan.driver_crashes) {
-        driver_crash_events_.push_back(
+        plan_events_.push_back(
             cluster_.events().scheduleAfter(at, [this, at] {
-                if (job_done_ || job_failed_) {
-                    return;  // fired after completion: harmless no-op
-                }
                 if (driver_crashes_fired_++ < config_.driver_crash_skip) {
                     return;
                 }
@@ -2271,7 +2260,7 @@ Job::collectResult()
     JobResult result;
     result.output = std::move(output_);
     result.runtime = end_time_ - start_time_;
-    result.energy_wh = cluster_.energyWattHours() - start_energy_wh_;
+    result.energy_wh = end_energy_wh_ - start_energy_wh_;
     result.counters = counters_;
     result.tasks = std::move(tasks_);
     AH_INFO("job") << config_.name << " finished in " << result.runtime

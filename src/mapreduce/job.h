@@ -630,10 +630,13 @@ class Job
     uint64_t maps_since_epoch_ = 0;
     /** dcrash events fired so far (skip cursor for resumed runs). */
     uint32_t driver_crashes_fired_ = 0;
-    /** Pending dcrash events, cancelled at job completion so a kill
-     *  time beyond the job's end cannot extend the simulation (and its
-     *  energy integral) past the moment the job finishes. */
-    std::vector<sim::EventQueue::EventId> driver_crash_events_;
+    /** Pending fault-plan events (server crashes, revocation storms,
+     *  scale-outs, drains, driver kills), cancelled when the job
+     *  completes or fails so a time beyond the job's end cannot act on
+     *  the finished job or the cluster it leaves behind. Repairs of
+     *  servers crashed during the job are not in here: a reused cluster
+     *  still gets its servers back. */
+    std::vector<sim::EventQueue::EventId> plan_events_;
 
     // Suspend/resume state (inert in standalone runs).
     bool suspend_pending_ = false;
@@ -653,6 +656,9 @@ class Job
     sim::SimTime start_time_ = 0.0;
     sim::SimTime end_time_ = 0.0;
     double start_energy_wh_ = 0.0;
+    /** Cluster energy at end_time_: later events (repairs of servers
+     *  crashed during the job) must not bill the finished job. */
+    double end_energy_wh_ = 0.0;
 
     Counters counters_;
     std::vector<OutputRecord> output_;

@@ -1,11 +1,10 @@
 #include "service/service_spec.h"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
+#include "common/text.h"
 #include "obs/json.h"
 #include "sim/cluster.h"
 
@@ -13,43 +12,22 @@ namespace approxhadoop::service {
 
 namespace {
 
-std::vector<std::string>
-split(const std::string& s, char sep)
-{
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= s.size()) {
-        size_t end = s.find(sep, start);
-        if (end == std::string::npos) {
-            parts.push_back(s.substr(start));
-            break;
-        }
-        parts.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return parts;
-}
-
 double
-parseDouble(const std::string& token, const char* what)
+parseNumber(const std::string& token, const char* what)
 {
-    char* end = nullptr;
-    double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
+    std::optional<double> v = parseDouble(token);
+    if (!v) {
         throw std::invalid_argument(std::string("service spec: bad ") +
-                                    what + " '" + token + "'");
+                                    what + " '" + token +
+                                    "' (want a finite decimal number)");
     }
-    if (!std::isfinite(v)) {
-        throw std::invalid_argument(std::string("service spec: ") + what +
-                                    " '" + token + "' must be finite");
-    }
-    return v;
+    return *v;
 }
 
 double
 parsePositive(const std::string& token, const char* what)
 {
-    double v = parseDouble(token, what);
+    double v = parseNumber(token, what);
     if (!(v > 0.0)) {
         throw std::invalid_argument(std::string("service spec: ") + what +
                                     " must be > 0, got '" + token + "'");
@@ -60,7 +38,7 @@ parsePositive(const std::string& token, const char* what)
 double
 parseNonNegative(const std::string& token, const char* what)
 {
-    double v = parseDouble(token, what);
+    double v = parseNumber(token, what);
     if (!(v >= 0.0)) {
         throw std::invalid_argument(std::string("service spec: ") + what +
                                     " must be >= 0, got '" + token + "'");
@@ -71,20 +49,13 @@ parseNonNegative(const std::string& token, const char* what)
 uint64_t
 parseUint(const std::string& token, const char* what)
 {
-    if (token.empty() || token.find_first_not_of("0123456789") !=
-                             std::string::npos) {
+    std::optional<uint64_t> v = parseUint64(token);
+    if (!v) {
         throw std::invalid_argument(std::string("service spec: bad ") +
                                     what + " '" + token +
                                     "' (want a non-negative integer)");
     }
-    errno = 0;
-    char* end = nullptr;
-    uint64_t v = std::strtoull(token.c_str(), &end, 10);
-    if (errno == ERANGE || end != token.c_str() + token.size()) {
-        throw std::invalid_argument(std::string("service spec: ") + what +
-                                    " '" + token + "' out of range");
-    }
-    return v;
+    return *v;
 }
 
 /** Builds the default N-class tenant ladder: t0 highest priority,
@@ -166,13 +137,13 @@ parseServiceSpec(const std::string& spec)
         } else if (key == "pressure") {
             out.pressure_threshold = parseUint(value, "pressure threshold");
         } else if (key == "degrade") {
-            out.degrade_factor = parseDouble(value, "degrade factor");
+            out.degrade_factor = parseNumber(value, "degrade factor");
             if (out.degrade_factor < 1.0) {
                 throw std::invalid_argument(
                     "service spec: degrade factor must be >= 1");
             }
         } else if (key == "maxscale") {
-            out.max_target_scale = parseDouble(value, "max target scale");
+            out.max_target_scale = parseNumber(value, "max target scale");
             if (out.max_target_scale < 1.0) {
                 throw std::invalid_argument(
                     "service spec: maxscale must be >= 1");

@@ -1,33 +1,12 @@
 #include "sim/cluster.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
+#include "common/text.h"
+
 namespace approxhadoop::sim {
-
-namespace {
-
-/** Splits @p s on @p sep (keeps empty fields so "10xeon+" is rejected
- *  loudly downstream). */
-std::vector<std::string>
-split(const std::string& s, char sep)
-{
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (start <= s.size()) {
-        size_t end = s.find(sep, start);
-        if (end == std::string::npos) {
-            parts.push_back(s.substr(start));
-            break;
-        }
-        parts.push_back(s.substr(start, end - start));
-        start = end + 1;
-    }
-    return parts;
-}
-
-}  // namespace
 
 ServerClass
 ServerClass::xeon(uint32_t count)
@@ -124,15 +103,14 @@ ClusterConfig::parse(const std::string& spec)
                 "' (want <count><class>, e.g. 10xeon; or the presets "
                 "xeon10 / atom60)");
         }
-        unsigned long count = std::strtoul(term.substr(0, i).c_str(),
-                                           nullptr, 10);
-        if (count == 0 || count > 100000) {
+        std::optional<uint64_t> count = parseUint64(term.substr(0, i));
+        if (!count || *count == 0 || *count > 100000) {
             throw std::invalid_argument("cluster spec: server count in '" +
                                         term + "' must be in [1, 100000]");
         }
         config.classes.push_back(ServerClass::byName(
-            term.substr(i), static_cast<uint32_t>(count)));
-        total += static_cast<uint32_t>(count);
+            term.substr(i), static_cast<uint32_t>(*count)));
+        total += static_cast<uint32_t>(*count);
     }
 
     // Mirror the first class into the scalar fields so legacy readers

@@ -38,6 +38,8 @@ TEST(ParseRepsTest, RejectsGarbage)
     EXPECT_FALSE(parseReps("3x").has_value());
     EXPECT_FALSE(parseReps("1e3").has_value());
     EXPECT_FALSE(parseReps("2.5").has_value());
+    EXPECT_FALSE(parseReps("+5").has_value());
+    EXPECT_FALSE(parseReps(" 5").has_value());
     EXPECT_FALSE(parseReps(nullptr).has_value());
 }
 

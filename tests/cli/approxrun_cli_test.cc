@@ -78,6 +78,11 @@ TEST(ApproxrunCliTest, MalformedInvocationsExitTwoWithGrammar)
         {"projectpop --threads 0", 2, "[1, 1024]", "zero threads"},
         {"projectpop --seed -1", 2, "non-negative", "negative seed"},
         {"projectpop --seed 1e9", 2, "non-negative", "float seed"},
+        {"projectpop --seed +5", 2, "non-negative", "signed seed"},
+        {"projectpop --blocks ' 5'", 2, ">= 1", "leading space"},
+        {"projectpop --sampling 0x1p-1", 2, "(0, 1]", "hex ratio"},
+        {"projectpop --sampling +0.5", 2, "(0, 1]", "signed ratio"},
+        {"projectpop --confidence 0x1p-1", 2, "(0, 1)", "hex level"},
         {"projectpop --cluster foo", 2, "xeon10", "unknown cluster"},
         {"projectpop --cluster 10xeon+0atom", 2, "xeon10",
          "zero-count class in mixed fleet"},
@@ -101,6 +106,10 @@ TEST(ApproxrunCliTest, MalformedInvocationsExitTwoWithGrammar)
          "unknown plan key shows grammar"},
         {"projectpop --fault-plan crash=1.5", 2, "crash",
          "out-of-range probability shows grammar"},
+        {"projectpop --fault-plan server=4294967297@10", 2, "server id",
+         "server id wrapping past 2^32"},
+        {"projectpop --fault-plan server=2.5@10", 2, "server id",
+         "fractional server id"},
     };
     for (const CliCase& c : cases) {
         RunResult r = runApproxrun(c.args);
@@ -173,6 +182,32 @@ TEST(ApproxrunCliTest, RetryExhaustionExitsThree)
         "--failure-mode retry --fault-plan crash=1");
     EXPECT_EQ(r.exit_code, 3) << r.output;
     EXPECT_NE(r.output.find("job failed"), std::string::npos) << r.output;
+}
+
+TEST(ApproxrunCliTest, UnwrittenArtifactExitsOne)
+{
+    // A report or trace that did not reach the disk is a failed run, not
+    // a clean exit; a job failure keeps its own exit code.
+    const std::vector<CliCase> cases = {
+        {"projectpop --blocks 4 --items 4 --report-json /nonexistent/x.json",
+         1, "cannot write /nonexistent/x.json", "missing directory"},
+        {"projectpop --blocks 4 --items 4 --trace-out /nonexistent/x.json",
+         1, "cannot write /nonexistent/x.json", "trace, missing directory"},
+        {"projectpop --blocks 4 --items 4 --report-json /dev/full", 1,
+         "cannot write /dev/full", "full device fails the final flush"},
+        {"projectpop --blocks 4 --items 4 --max-attempts 2 --fault-plan "
+         "crash=1 --report-json /nonexistent/x.json",
+         3, "job failed", "job failure takes precedence"},
+    };
+    for (const CliCase& c : cases) {
+        RunResult r = runApproxrun(c.args);
+        EXPECT_EQ(r.exit_code, c.expected_exit)
+            << c.why << " — args: " << c.args << "\n"
+            << r.output;
+        EXPECT_NE(r.output.find(c.required_substring), std::string::npos)
+            << c.why << " — args: " << c.args << "\n"
+            << r.output;
+    }
 }
 
 TEST(ApproxrunCliTest, MixedFleetElasticRunExitsZeroAndSelfChecks)

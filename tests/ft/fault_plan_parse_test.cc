@@ -81,6 +81,22 @@ TEST(FaultPlanParseTest, RejectsInvalidSpecs)
         {"dcrash=0", "dcrash at time zero"},
         {"dcrash=inf", "infinite dcrash time"},
         {"dcrash=10x", "trailing garbage after dcrash time"},
+        // Server ids are unsigned integers below 2^32, never doubles
+        // truncated into some other server's id.
+        {"server=2.5@10", "fractional server id"},
+        {"server=4294967297@10", "server id wrapping to 1"},
+        {"server=4294967296@10", "server id of 2^32"},
+        {"server=1e300@10", "server id overflowing uint32"},
+        {"server=-1@10", "negative server id"},
+        {"server=+1@10", "signed server id"},
+        // Only plain decimal numbers: no whitespace, '+', hex, or a
+        // value that underflows to zero.
+        {"crash= 0.5", "leading space before probability"},
+        {"crash=+0.5", "leading plus on probability"},
+        {"crash=0x1p-1", "hex probability"},
+        {"crash=1e-400", "probability underflowing to zero"},
+        {"revoke=3@0x10", "hex storm time"},
+        {"dcrash= 5", "leading space before dcrash time"},
     };
     for (const BadSpec& c : cases) {
         EXPECT_THROW(FaultPlan::parse(c.spec), std::invalid_argument)
@@ -168,6 +184,8 @@ TEST(FaultPlanRoundTripTest, SpecRegeneratesAnEquivalentPlan)
         "crash=0.1,revoke=1@5.5,addsrv=2xeon@7.25,drain=1@9,seed=3",
         "dcrash=12.5",
         "crash=0.2,dcrash=10,dcrash=45.25,seed=11",
+        "server=0@1e300",
+        "server=0@1.25e16",
     };
     for (const std::string& spec : specs) {
         FaultPlan plan = FaultPlan::parse(spec);

@@ -99,6 +99,41 @@ TEST(JobTest, PreciseWordCountIsExact)
     EXPECT_GT(result.energy_wh, 0.0);
 }
 
+TEST(JobTest, PlanEventsAfterTheJobEndsNeitherFireNorBillEnergy)
+{
+    // Fleet events timed long after the job ends are cancelled with it:
+    // the job reports the runtime, energy and fleet counters of the same
+    // job run without a plan.
+    auto run = [](const char* plan) {
+        sim::Cluster cluster(sim::ClusterConfig::xeon10());
+        hdfs::NameNode nn(cluster.numServers(), 3, 1);
+        auto ds = smallDataset();
+        JobConfig config = fastConfig();
+        config.fault_plan = ft::FaultPlan::parse(plan);
+        Job job(cluster, ds, nn, config);
+        job.setMapperFactory(
+            [] { return std::make_unique<IdentityMapper>(); });
+        job.setReducerFactory([] {
+            return std::make_unique<PreciseReducer>(
+                PreciseReducer::Op::kSum);
+        });
+        return job.run();
+    };
+    JobResult clean = run("");
+    ASSERT_LT(clean.runtime, 1000.0);
+    for (const char* plan :
+         {"server=0@1000", "server=0@1000+50", "revoke=3@1000",
+          "drain=2@1000", "addsrv=4atom@1000"}) {
+        JobResult r = run(plan);
+        EXPECT_EQ(r.energy_wh, clean.energy_wh) << plan;
+        EXPECT_EQ(r.runtime, clean.runtime) << plan;
+        EXPECT_EQ(r.counters.server_crashes, 0u) << plan;
+        EXPECT_EQ(r.counters.servers_revoked, 0u) << plan;
+        EXPECT_EQ(r.counters.servers_added, 0u) << plan;
+        EXPECT_EQ(r.counters.servers_drained, 0u) << plan;
+    }
+}
+
 TEST(JobTest, EveryTaskExecutesExactlyOnce)
 {
     sim::Cluster cluster(sim::ClusterConfig::xeon10());

@@ -92,6 +92,10 @@ TEST(ServiceSpecTest, MalformedSpecsThrowLoudly)
         {"preempt=2", "preempt is a boolean flag"},
         {"defer=yes", "non-numeric defer"},
         {"seed", "clause without '='"},
+        {"arrival=+0.5", "leading plus on rate"},
+        {"duration= 600", "leading space before duration"},
+        {"degrade=0x2", "hex degrade factor"},
+        {"endgame=1e-400", "percent underflowing to zero"},
     };
     for (const BadCase& c : cases) {
         EXPECT_THROW(parseServiceSpec(c.spec), std::invalid_argument)

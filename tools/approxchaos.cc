@@ -29,6 +29,7 @@
 #include "chaos/scenario.h"
 #include "chaos/shrink.h"
 #include "common/logging.h"
+#include "common/text.h"
 #include "obs/observability.h"
 #include "obs/report.h"
 
@@ -77,33 +78,6 @@ usage()
 }
 
 bool
-parseUint64(const char* text, uint64_t& out)
-{
-    if (text == nullptr || *text == '\0') {
-        return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || *end != '\0' || std::strchr(text, '-') != nullptr) {
-        return false;
-    }
-    out = static_cast<uint64_t>(v);
-    return true;
-}
-
-bool
-parseInt(const char* text, int& out)
-{
-    uint64_t v = 0;
-    if (!parseUint64(text, v) || v > 1000000) {
-        return false;
-    }
-    out = static_cast<int>(v);
-    return true;
-}
-
-bool
 parseArgs(int argc, char** argv, Options& opt)
 {
     for (int i = 1; i < argc; ++i) {
@@ -117,32 +91,38 @@ parseArgs(int argc, char** argv, Options& opt)
         };
         if (arg == "--seed") {
             const char* v = value();
-            if (v == nullptr || !parseUint64(v, opt.seed)) {
+            std::optional<uint64_t> seed = v ? parseUint64(v) : std::nullopt;
+            if (!seed) {
                 std::fprintf(stderr, "--seed wants a non-negative "
                                      "integer\n");
                 return false;
             }
+            opt.seed = *seed;
         } else if (arg == "--trials") {
             const char* v = value();
-            if (v == nullptr || !parseInt(v, opt.trials)) {
-                std::fprintf(stderr, "--trials wants an integer\n");
+            std::optional<uint64_t> n = v ? parseUint64(v) : std::nullopt;
+            if (!n || *n > 1000000) {
+                std::fprintf(stderr, "--trials wants an integer in "
+                                     "[0, 1000000]\n");
                 return false;
             }
+            opt.trials = static_cast<int>(*n);
         } else if (arg == "--coverage-trials") {
             const char* v = value();
-            if (v == nullptr || !parseInt(v, opt.coverage_trials)) {
-                std::fprintf(stderr,
-                             "--coverage-trials wants an integer\n");
+            std::optional<uint64_t> n = v ? parseUint64(v) : std::nullopt;
+            if (!n || *n > 1000000) {
+                std::fprintf(stderr, "--coverage-trials wants an integer "
+                                     "in [0, 1000000]\n");
                 return false;
             }
+            opt.coverage_trials = static_cast<int>(*n);
         } else if (arg == "--scenario") {
             const char* v = value();
-            uint64_t index = 0;
-            if (v == nullptr || !parseUint64(v, index)) {
+            opt.scenario_index = v ? parseUint64(v) : std::nullopt;
+            if (!opt.scenario_index) {
                 std::fprintf(stderr, "--scenario wants an index\n");
                 return false;
             }
-            opt.scenario_index = index;
         } else if (arg == "--mutate") {
             const char* v = value();
             if (v == nullptr) {
@@ -235,12 +215,11 @@ reportViolation(const Options& opt, const chaos::ChaosOracle& oracle,
         std::string report_path = opt.repro_out + ".report.json";
         std::string trace_path = opt.repro_out + ".trace.json";
         auto save = [](const std::string& path, const std::string& text) {
-            if (FILE* f = std::fopen(path.c_str(), "w")) {
-                std::fwrite(text.data(), 1, text.size(), f);
-                std::fclose(f);
+            if (writeFile(path, text)) {
                 return true;
             }
-            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+            std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                         std::strerror(errno));
             return false;
         };
         if (save(report_path, report.toJson()) &&

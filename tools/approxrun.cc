@@ -21,14 +21,17 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/aggregation_registry.h"
 #include "apps/dc_placement_app.h"
 #include "apps/frame_encoder_app.h"
 #include "common/logging.h"
+#include "common/text.h"
 #include "core/approx_config.h"
 #include "core/approx_job.h"
 #include "ft/fault_plan.h"
@@ -86,6 +89,7 @@ std::unique_ptr<obs::Observability> g_obs;
 /** Exit codes: distinguishable failure classes for scripts and CI. */
 enum ExitCode {
     kExitOk = 0,
+    kExitWriteFailed = 1,    // --report-json / --trace-out not written
     kExitBadUsage = 2,       // unknown app/flag, malformed value, or a
                              // config rejected at job start (e.g. a fault
                              // plan naming a server outside the fleet)
@@ -167,61 +171,12 @@ usage()
         "                        read back from FILE and may not be\n"
         "                        overridden\n"
         "\n"
-        "exit codes: 0 ok, 2 bad usage (including an unreadable,\n"
-        "corrupt, or divergent journal), 3 job failed (retries\n"
-        "exhausted), 4 selfcheck CI coverage failure\n",
+        "exit codes: 0 ok, 1 --report-json or --trace-out file not\n"
+        "written, 2 bad usage (including an unreadable, corrupt, or\n"
+        "divergent journal), 3 job failed (retries exhausted), 4\n"
+        "selfcheck CI coverage failure; 3 and 4 take precedence over 1\n",
         apps::aggregationWorkloadNames().c_str(),
         ft::FaultPlan::helpText().c_str());
-}
-
-/**
- * Strict numeric parsers: the whole token must be a finite number in
- * range, or the flag is rejected (exit 2). atof/atoi-style silent
- * garbage-to-zero would turn a typo like `--sampling 0..1` into a
- * drastically different experiment.
- */
-bool
-parseDouble(const char* text, double& out)
-{
-    if (text == nullptr || *text == '\0') {
-        return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    double v = std::strtod(text, &end);
-    if (errno != 0 || end == text || *end != '\0' || !std::isfinite(v)) {
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseUint64(const char* text, uint64_t& out)
-{
-    if (text == nullptr || *text == '\0' ||
-        std::strchr(text, '-') != nullptr) {
-        return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (errno != 0 || end == text || *end != '\0') {
-        return false;
-    }
-    out = static_cast<uint64_t>(v);
-    return true;
-}
-
-bool
-parseUint32(const char* text, uint32_t lo, uint32_t hi, uint32_t& out)
-{
-    uint64_t v = 0;
-    if (!parseUint64(text, v) || v < lo || v > hi) {
-        return false;
-    }
-    out = static_cast<uint32_t>(v);
-    return true;
 }
 
 /** Reports a malformed flag value with the expected grammar; always
@@ -286,32 +241,32 @@ parseArgs(int argc, char** argv, Options& opt)
             opt.precise = true;
         } else if (arg == "--sampling") {
             const char* v = value();
-            if (!parseDouble(v, opt.approx.sampling_ratio) ||
-                opt.approx.sampling_ratio <= 0.0 ||
-                opt.approx.sampling_ratio > 1.0) {
+            std::optional<double> r = parseDouble(v);
+            if (!r || *r <= 0.0 || *r > 1.0) {
                 return badValue(arg, "a ratio in (0, 1]", v);
             }
+            opt.approx.sampling_ratio = *r;
         } else if (arg == "--drop") {
             const char* v = value();
-            if (!parseDouble(v, opt.approx.drop_ratio) ||
-                opt.approx.drop_ratio < 0.0 ||
-                opt.approx.drop_ratio >= 1.0) {
+            std::optional<double> r = parseDouble(v);
+            if (!r || *r < 0.0 || *r >= 1.0) {
                 return badValue(arg, "a ratio in [0, 1)", v);
             }
+            opt.approx.drop_ratio = *r;
         } else if (arg == "--target") {
             const char* v = value();
-            double target = 0.0;
-            if (!parseDouble(v, target) || target <= 0.0) {
+            std::optional<double> target = parseDouble(v);
+            if (!target || *target <= 0.0) {
                 return badValue(arg, "a relative error > 0", v);
             }
-            opt.approx.target_relative_error = target;
+            opt.approx.target_relative_error = *target;
         } else if (arg == "--confidence") {
             const char* v = value();
-            if (!parseDouble(v, opt.approx.confidence) ||
-                opt.approx.confidence <= 0.0 ||
-                opt.approx.confidence >= 1.0) {
+            std::optional<double> c = parseDouble(v);
+            if (!c || *c <= 0.0 || *c >= 1.0) {
                 return badValue(arg, "a confidence level in (0, 1)", v);
             }
+            opt.approx.confidence = *c;
         } else if (arg == "--pilot") {
             const char* v = value();
             const char* colon = std::strchr(v, ':');
@@ -319,44 +274,51 @@ parseArgs(int argc, char** argv, Options& opt)
                 return badValue(arg, "N:R (pilot maps : sampling ratio)",
                                 v);
             }
-            std::string maps(v, colon - v);
-            if (!parseUint64(maps.c_str(), opt.approx.pilot.maps) ||
-                opt.approx.pilot.maps == 0 ||
-                !parseDouble(colon + 1,
-                             opt.approx.pilot.sampling_ratio) ||
-                opt.approx.pilot.sampling_ratio <= 0.0 ||
-                opt.approx.pilot.sampling_ratio > 1.0) {
+            std::optional<uint64_t> maps =
+                parseUint64(std::string_view(v, colon - v));
+            std::optional<double> r = parseDouble(colon + 1);
+            if (!maps || *maps == 0 || !r || *r <= 0.0 || *r > 1.0) {
                 return badValue(arg,
                                 "N:R with N >= 1 maps and R in (0, 1]", v);
             }
             opt.approx.pilot.enabled = true;
+            opt.approx.pilot.maps = *maps;
+            opt.approx.pilot.sampling_ratio = *r;
         } else if (arg == "--user-defined") {
             const char* v = value();
-            if (!parseDouble(v, opt.approx.user_defined_fraction) ||
-                opt.approx.user_defined_fraction < 0.0 ||
-                opt.approx.user_defined_fraction > 1.0) {
+            std::optional<double> f = parseDouble(v);
+            if (!f || *f < 0.0 || *f > 1.0) {
                 return badValue(arg, "a fraction in [0, 1]", v);
             }
+            opt.approx.user_defined_fraction = *f;
         } else if (arg == "--blocks") {
             const char* v = value();
-            if (!parseUint64(v, opt.blocks) || opt.blocks == 0) {
+            std::optional<uint64_t> n = parseUint64(v);
+            if (!n || *n == 0) {
                 return badValue(arg, "an integer >= 1", v);
             }
+            opt.blocks = *n;
         } else if (arg == "--items") {
             const char* v = value();
-            if (!parseUint64(v, opt.items) || opt.items == 0) {
+            std::optional<uint64_t> n = parseUint64(v);
+            if (!n || *n == 0) {
                 return badValue(arg, "an integer >= 1", v);
             }
+            opt.items = *n;
         } else if (arg == "--reducers") {
             const char* v = value();
-            if (!parseUint32(v, 1, 1024, opt.reducers)) {
+            std::optional<uint64_t> n = parseUint64(v);
+            if (!n || *n < 1 || *n > 1024) {
                 return badValue(arg, "an integer in [1, 1024]", v);
             }
+            opt.reducers = static_cast<uint32_t>(*n);
         } else if (arg == "--threads") {
             const char* v = value();
-            if (!parseUint32(v, 1, 1024, opt.threads)) {
+            std::optional<uint64_t> n = parseUint64(v);
+            if (!n || *n < 1 || *n > 1024) {
                 return badValue(arg, "an integer in [1, 1024]", v);
             }
+            opt.threads = static_cast<uint32_t>(*n);
         } else if (arg == "--cluster") {
             opt.cluster = value();
             try {
@@ -367,9 +329,11 @@ parseArgs(int argc, char** argv, Options& opt)
             }
         } else if (arg == "--seed") {
             const char* v = value();
-            if (!parseUint64(v, opt.seed)) {
+            std::optional<uint64_t> seed = parseUint64(v);
+            if (!seed) {
                 return badValue(arg, "a non-negative integer", v);
             }
+            opt.seed = *seed;
         } else if (arg == "--fault-plan") {
             try {
                 opt.fault_plan = ft::FaultPlan::parse(value());
@@ -387,28 +351,35 @@ parseArgs(int argc, char** argv, Options& opt)
             }
         } else if (arg == "--max-attempts") {
             const char* v = value();
-            if (!parseUint32(v, 1, 1000000, opt.max_attempts)) {
+            std::optional<uint64_t> n = parseUint64(v);
+            if (!n || *n < 1 || *n > 1000000) {
                 return badValue(arg, "an integer in [1, 1000000]", v);
             }
+            opt.max_attempts = static_cast<uint32_t>(*n);
             opt.max_attempts_set = true;
         } else if (arg == "--checkpoint-interval") {
             const char* v = value();
-            if (!parseUint64(v, opt.checkpoint_interval)) {
+            std::optional<uint64_t> n = parseUint64(v);
+            if (!n) {
                 return badValue(arg, "a non-negative integer", v);
             }
+            opt.checkpoint_interval = *n;
             opt.checkpoint_set = true;
         } else if (arg == "--heartbeat-interval") {
             const char* v = value();
-            if (!parseDouble(v, opt.heartbeat_interval_ms) ||
-                opt.heartbeat_interval_ms <= 0.0) {
+            std::optional<double> ms = parseDouble(v);
+            if (!ms || *ms <= 0.0) {
                 return badValue(arg, "a period in ms > 0", v);
             }
+            opt.heartbeat_interval_ms = *ms;
             opt.heartbeat_set = true;
         } else if (arg == "--task-timeout") {
             const char* v = value();
-            if (!parseDouble(v, opt.task_timeout_ms)) {
+            std::optional<double> ms = parseDouble(v);
+            if (!ms) {
                 return badValue(arg, "a timeout in ms", v);
             }
+            opt.task_timeout_ms = *ms;
             opt.timeout_set = true;
         } else if (arg == "--report-json") {
             opt.report_json = value();
@@ -427,20 +398,22 @@ parseArgs(int argc, char** argv, Options& opt)
             }
         } else if (arg == "--journal-interval") {
             const char* v = value();
-            if (!parseUint64(v, opt.journal_interval)) {
+            std::optional<uint64_t> n = parseUint64(v);
+            if (!n) {
                 return badValue(arg, "a non-negative integer", v);
             }
+            opt.journal_interval = *n;
         } else if (arg == "--selfcheck") {
             opt.selfcheck = true;
         } else if (arg == "--s3") {
             opt.s3 = true;
         } else if (arg == "--top") {
             const char* v = value();
-            uint32_t top = 0;
-            if (!parseUint32(v, 0, 1000000, top)) {
+            std::optional<uint64_t> top = parseUint64(v);
+            if (!top || *top > 1000000) {
                 return badValue(arg, "a non-negative integer", v);
             }
-            opt.top = static_cast<int>(top);
+            opt.top = static_cast<int>(*top);
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else {
@@ -589,30 +562,26 @@ optionsFromSpec(const journal::RunSpec& spec)
     return opt;
 }
 
-bool
-writeTextFile(const std::string& path, const std::string& text)
-{
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
-                     std::strerror(errno));
-        return false;
-    }
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return true;
-}
-
-/** Writes --report-json and --trace-out artifacts (whichever are set). */
-void
+/** Writes --report-json and --trace-out artifacts (whichever are set);
+ *  returns kExitWriteFailed when either is not fully written. */
+int
 emitObsArtifacts(const Options& opt, const obs::JobReport& report)
 {
+    int code = kExitOk;
+    auto write = [&code](const std::string& path, const std::string& text) {
+        if (!writeFile(path, text)) {
+            std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                         std::strerror(errno));
+            code = kExitWriteFailed;
+        }
+    };
     if (!opt.report_json.empty()) {
-        writeTextFile(opt.report_json, report.toJson());
+        write(opt.report_json, report.toJson());
     }
     if (!opt.trace_out.empty() && g_obs != nullptr) {
-        writeTextFile(opt.trace_out, g_obs->trace.toChromeJson());
+        write(opt.trace_out, g_obs->trace.toChromeJson());
     }
+    return code;
 }
 
 /**
@@ -732,17 +701,19 @@ runAggregationWorkload(const Options& opt,
             continue;
         }
         printResult(opt, result);
+        int code = kExitOk;
         if (g_obs != nullptr) {
-            emitObsArtifacts(opt, obs::JobReport::build(opt.app, config,
-                                                        result,
-                                                        g_obs.get()));
+            code = emitObsArtifacts(opt, obs::JobReport::build(
+                                             opt.app, config, result,
+                                             g_obs.get()));
         }
         if (opt.selfcheck && !opt.precise) {
             mr::JobResult precise = apps::runPreciseReference(
                 workload, *data, config, clusterConfigFor(opt), opt.seed);
-            return selfcheckAgainst(result, precise);
+            int check = selfcheckAgainst(result, precise);
+            return check != kExitOk ? check : code;
         }
-        return kExitOk;
+        return code;
     }
 }
 
@@ -796,10 +767,11 @@ runApp(const Options& opt)
                       apps::DCPlacementApp::mapperFactory(problem), true);
         printResult(opt, result);
         if (g_obs != nullptr) {
-            emitObsArtifacts(opt, obs::JobReport::build(
-                                      opt.app, config, result, g_obs.get()));
+            return emitObsArtifacts(opt, obs::JobReport::build(
+                                             opt.app, config, result,
+                                             g_obs.get()));
         }
-        return 0;
+        return kExitOk;
     }
 
     // --- Video encoding (user-defined approximation) --------------------------
@@ -820,10 +792,11 @@ runApp(const Options& opt)
             apps::FrameEncoderApp::reducerFactory());
         printResult(opt, result);
         if (g_obs != nullptr) {
-            emitObsArtifacts(opt, obs::JobReport::build(
-                                      opt.app, config, result, g_obs.get()));
+            return emitObsArtifacts(opt, obs::JobReport::build(
+                                             opt.app, config, result,
+                                             g_obs.get()));
         }
-        return 0;
+        return kExitOk;
     }
 
     std::fprintf(stderr,
@@ -917,18 +890,20 @@ resumeMain(int argc, char** argv)
         };
         if (arg == "--threads") {
             const char* v = value();
-            if (!parseUint32(v, 1, 1024, opt.threads)) {
+            std::optional<uint64_t> n = parseUint64(v);
+            if (!n || *n < 1 || *n > 1024) {
                 badValue(arg, "an integer in [1, 1024]", v);
                 return kExitBadUsage;
             }
+            opt.threads = static_cast<uint32_t>(*n);
         } else if (arg == "--top") {
             const char* v = value();
-            uint32_t top = 0;
-            if (!parseUint32(v, 0, 1000000, top)) {
+            std::optional<uint64_t> top = parseUint64(v);
+            if (!top || *top > 1000000) {
                 badValue(arg, "a non-negative integer", v);
                 return kExitBadUsage;
             }
-            opt.top = static_cast<int>(top);
+            opt.top = static_cast<int>(*top);
         } else if (arg == "--report-json") {
             opt.report_json = value();
         } else if (arg == "--trace-out") {

@@ -11,10 +11,13 @@
  *
  * Exit codes: 0 ok, 1 simulation error, 2 bad usage/spec.
  */
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <string>
 
+#include "common/text.h"
 #include "service/job_service.h"
 #include "service/report.h"
 #include "service/service_spec.h"
@@ -41,20 +44,6 @@ usage()
         "\n"
         "exit codes: 0 ok, 1 simulation error, 2 bad usage/spec\n",
         service::serviceSpecHelp().c_str());
-}
-
-bool
-writeFile(const std::string& path, const std::string& content)
-{
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-        std::fprintf(stderr, "approxsvc: cannot write %s\n", path.c_str());
-        return false;
-    }
-    bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-              content.size();
-    ok = std::fclose(f) == 0 && ok;
-    return ok;
 }
 
 void
@@ -144,6 +133,8 @@ main(int argc, char** argv)
         }
         if (!report_path.empty() &&
             !writeFile(report_path, report.toJson() + "\n")) {
+            std::fprintf(stderr, "approxsvc: cannot write %s: %s\n",
+                         report_path.c_str(), std::strerror(errno));
             return 1;
         }
         return 0;

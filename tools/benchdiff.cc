@@ -24,11 +24,14 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
+#include "common/text.h"
 #include "obs/json.h"
 
+using approxhadoop::parseDouble;
 using approxhadoop::obs::JsonValue;
 using approxhadoop::obs::parseJson;
 
@@ -102,15 +105,14 @@ main(int argc, char** argv)
     const char* cand_path = nullptr;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-            char* end = nullptr;
-            threshold = std::strtod(argv[++i], &end);
-            if (end == argv[i] || *end != '\0' || threshold < 0.0 ||
-                threshold >= 1.0) {
+            std::optional<double> t = parseDouble(argv[++i]);
+            if (!t || *t < 0.0 || *t >= 1.0) {
                 std::fprintf(stderr,
                              "benchdiff: --threshold wants a fraction in "
                              "[0, 1)\n");
                 return 2;
             }
+            threshold = *t;
         } else if (base_path == nullptr) {
             base_path = argv[i];
         } else if (cand_path == nullptr) {
